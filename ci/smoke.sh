@@ -7,9 +7,7 @@
 # Outputs:
 #   ci-artifacts/          tool stdout, golden diffs, BENCH_simulator.json
 #                          (gitignored; CI uploads it when the job fails)
-#   $RUNNER_TEMP (or mktemp) scratch for files nobody needs afterwards —
-#                          notably simperf's BENCH_reference.json, which
-#                          used to be dropped untracked into the workspace
+#   $RUNNER_TEMP (or mktemp) scratch for files nobody needs afterwards
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -139,11 +137,9 @@ golden BENCH_fleet BENCH_fleet.json "$SCRATCH/BENCH_fleet.json"
 
 echo "== simulator perf smoke =="
 # Tracks the simulator's own wall-clock cost. The shared runner is noisy,
-# so this validates the tooling (report shape, engine bit-identity
-# re-check, --jobs/--no-turbo paths) rather than asserting a speedup; the
-# numbers land in the uploaded artifact for trend inspection. The
-# reference-engine report is scratch output: nothing consumes it, so it
-# stays out of the workspace.
+# so this validates the tooling (report shape, --jobs path) and gates only
+# a collapse of the engine ratio; the numbers land in the uploaded
+# artifact for trend inspection.
 cargo run --release -q -p ulp-bench --bin simperf -- \
   --jobs 2 --reps 1 --out "$ARTIFACTS/BENCH_simulator.json"
 python3 -m json.tool "$ARTIFACTS/BENCH_simulator.json" > /dev/null
@@ -151,18 +147,18 @@ grep -q '"engine_comparison"' "$ARTIFACTS/BENCH_simulator.json"
 grep -q '"engine_comparison_quad"' "$ARTIFACTS/BENCH_simulator.json"
 grep -q '"core_peak"' "$ARTIFACTS/BENCH_simulator.json"
 grep -q '"simulated_mips"' "$ARTIFACTS/BENCH_simulator.json"
-# The fresh micro-op and epoch speedups must not regress below the
-# committed window. This run is reps=1 on a noisy shared runner, so the
-# gate applies a 0.6x safety factor: it catches "the engine stopped
-# engaging" regressions (ratios collapsing toward 1x), not scheduler
-# noise around the committed value.
+# The fresh epoch speedups (full sweep and quad-core cell) must not
+# regress below the committed window. This run is reps=1 on a noisy
+# shared runner, so the gate applies a 0.6x safety factor: it catches
+# "the engine stopped engaging" regressions (ratios collapsing toward
+# 1x — a quad cell that stops speculating falls to block replay's ~1.1x),
+# not scheduler noise around the committed value.
 python3 - "$ARTIFACTS/BENCH_simulator.json" BENCH_simulator.json <<'PYEOF'
 import json, sys
 fresh, committed = (json.load(open(p)) for p in sys.argv[1:3])
 checks = [
-    ("engine_comparison.microop_speedup",),
     ("engine_comparison.epoch_speedup",),
-    ("engine_comparison_quad.epoch_over_microop",),
+    ("engine_comparison_quad.epoch_speedup",),
 ]
 fail = False
 for (path,) in checks:
@@ -174,9 +170,6 @@ for (path,) in checks:
     fail |= got < floor
 sys.exit(1 if fail else 0)
 PYEOF
-cargo run --release -q -p ulp-bench --bin simperf -- \
-  --no-turbo --skip-comparison --out "$SCRATCH/BENCH_reference.json"
-python3 -m json.tool "$SCRATCH/BENCH_reference.json" > /dev/null
 
 fi # STAGE = all
 

@@ -1,26 +1,20 @@
-//! Simulator wall-clock performance tracker: times the evaluation suites,
-//! meters simulated MIPS, runs the in-process four-way engine comparison
-//! (reference vs turbo vs micro-op vs epoch, full sweep plus the
+//! Simulator wall-clock performance tracker: times the evaluation suites
+//! under the default engine, meters simulated MIPS, runs the in-process
+//! two-way engine comparison (reference vs epoch, full sweep plus the
 //! quad-core `pulp_parallel` cell), and writes `BENCH_simulator.json`.
 //!
-//! Usage: `simperf [--jobs N] [--out PATH] [--reps N]
-//! [--engine reference|turbo|microop|epoch] [--no-turbo] [--skip-comparison]`
+//! Usage: `simperf [--jobs N] [--out PATH] [--reps N] [--skip-comparison]`
 
 use ulp_bench::simperf::{self, SuitePerf};
-use ulp_cluster::Engine;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: simperf [--jobs N] [--out PATH] [--reps N] \
-         [--engine reference|turbo|microop|epoch] [--no-turbo] [--skip-comparison]"
-    );
+    eprintln!("usage: simperf [--jobs N] [--out PATH] [--reps N] [--skip-comparison]");
     std::process::exit(2);
 }
 
 fn main() {
     let mut out_path = String::from("BENCH_simulator.json");
     let mut reps = 3usize;
-    let mut engine = Engine::Epoch;
     let mut comparison_enabled = true;
     let mut rest = ulp_bench::init_jobs_from_args().into_iter();
     while let Some(arg) = rest.next() {
@@ -33,20 +27,12 @@ fn main() {
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage());
             }
-            "--engine" => {
-                engine = rest
-                    .next()
-                    .and_then(|v| Engine::from_name(&v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--no-turbo" => engine = Engine::Reference,
             "--skip-comparison" => comparison_enabled = false,
             _ => usage(),
         }
     }
-    ulp_cluster::set_default_engine(engine);
     let jobs = ulp_par::effective_jobs();
-    eprintln!("simperf: jobs={jobs} engine={} reps={reps}", engine.name());
+    eprintln!("simperf: jobs={jobs} reps={reps}");
 
     // Warm-up pass so one-time costs (page faults, lazy statics) don't
     // land on the first timed suite.
@@ -82,30 +68,23 @@ fn main() {
     }
 
     let (comparison, quad, peak) = if comparison_enabled {
-        let c = simperf::compare_engines(reps, engine);
+        let c = simperf::compare_engines(reps);
         eprintln!(
-            "simperf: engine comparison (min of {}): reference {:.3} cpu-s, turbo {:.3} cpu-s \
-             ({:.3}x), microop {:.3} cpu-s ({:.3}x), epoch {:.3} cpu-s ({:.3}x)",
+            "simperf: engine comparison (min of {}): reference {:.3} cpu-s, \
+             epoch {:.3} cpu-s ({:.3}x)",
             c.reps,
             c.reference_cpu_seconds,
-            c.turbo_cpu_seconds,
-            c.turbo_speedup(),
-            c.microop_cpu_seconds,
-            c.microop_speedup(),
             c.epoch_cpu_seconds,
             c.epoch_speedup()
         );
-        let q = simperf::compare_engines_quad(reps, engine);
+        let q = simperf::compare_engines_quad(reps);
         eprintln!(
-            "simperf: quad-core cell (min of {}): reference {:.3} cpu-s, microop {:.3} cpu-s \
-             ({:.3}x), epoch {:.3} cpu-s ({:.3}x, {:.3}x over microop)",
+            "simperf: quad-core cell (min of {}): reference {:.3} cpu-s, \
+             epoch {:.3} cpu-s ({:.3}x)",
             q.reps,
             q.reference_cpu_seconds,
-            q.microop_cpu_seconds,
-            q.microop_speedup(),
             q.epoch_cpu_seconds,
-            q.epoch_speedup(),
-            q.epoch_over_microop()
+            q.epoch_speedup()
         );
         let p = simperf::core_peak(reps);
         eprintln!(
@@ -126,7 +105,6 @@ fn main() {
         quad.as_ref(),
         peak.as_ref(),
         jobs,
-        engine,
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {
         eprintln!("simperf: cannot write {out_path}: {e}");

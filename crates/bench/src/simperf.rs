@@ -12,12 +12,8 @@
 //!   take the minimum of several repetitions, interleaving the engines
 //!   being compared so slow drift hits both equally.
 //! * **Apples to apples.** The only comparison made in-process — and thus
-//!   the only defensible ratio — is engine vs engine (reference, turbo,
-//!   micro-op) on the same build and the same host state. The pre-PR
-//!   baseline seconds are
-//!   recorded in the report for context, but they were captured on a
-//!   different checkout and host state, so ratios against them are
-//!   informational only.
+//!   the only defensible ratio — is engine vs engine (reference vs epoch)
+//!   on the same build and the same host state.
 
 /// Process CPU seconds (user + sys) consumed so far. On Linux this reads
 /// `/proc/self/stat` (steal-immune); elsewhere it falls back to wall time
@@ -76,10 +72,10 @@ pub fn time_suite(name: &'static str, suite: impl FnOnce() -> String) -> SuitePe
     }
 }
 
-/// In-process engine comparison: a fixed workload under each of the four
-/// cluster engines (reference, turbo, micro-op, epoch), interleaved,
-/// min-of-`reps` CPU seconds each. This is the defensible speedup number —
-/// same build, same host state, only the engine differs.
+/// In-process engine comparison: a fixed workload under both cluster
+/// engines (reference and epoch), interleaved, min-of-`reps` CPU seconds
+/// each. This is the defensible speedup number — same build, same host
+/// state, only the engine differs.
 #[derive(Clone, Debug)]
 pub struct EngineComparison {
     /// Human description of the timed workload (rendered in the report).
@@ -88,54 +84,31 @@ pub struct EngineComparison {
     pub reps: usize,
     /// Best-of-reps CPU seconds for the reference engine.
     pub reference_cpu_seconds: f64,
-    /// Best-of-reps CPU seconds for the turbo engine.
-    pub turbo_cpu_seconds: f64,
-    /// Best-of-reps CPU seconds for the micro-op block engine.
-    pub microop_cpu_seconds: f64,
     /// Best-of-reps CPU seconds for the speculative epoch engine.
     pub epoch_cpu_seconds: f64,
 }
 
 impl EngineComparison {
-    /// Reference time over turbo time (> 1 means turbo is faster).
-    #[must_use]
-    pub fn turbo_speedup(&self) -> f64 {
-        self.reference_cpu_seconds / self.turbo_cpu_seconds.max(1e-9)
-    }
-
-    /// Reference time over micro-op time (> 1 means micro-op is faster).
-    #[must_use]
-    pub fn microop_speedup(&self) -> f64 {
-        self.reference_cpu_seconds / self.microop_cpu_seconds.max(1e-9)
-    }
-
     /// Reference time over epoch time (> 1 means epoch is faster).
     #[must_use]
     pub fn epoch_speedup(&self) -> f64 {
         self.reference_cpu_seconds / self.epoch_cpu_seconds.max(1e-9)
     }
-
-    /// Micro-op time over epoch time: what speculation buys on top of
-    /// block replay (> 1 means epoch is faster than micro-op).
-    #[must_use]
-    pub fn epoch_over_microop(&self) -> f64 {
-        self.microop_cpu_seconds / self.epoch_cpu_seconds.max(1e-9)
-    }
 }
 
 /// The full engine-comparison workload: every benchmark on the M4 flat
 /// host and the two cluster targets — the same flat/cluster mix `table1`
-/// itself simulates. Flat hosts stopped being engine-independent when the
-/// micro-op block engine landed ([`ulp_isa::Core::run`] replays blocks on
-/// flat cores too), so the sweep covers both paths.
-fn engine_sweep() {
+/// itself simulates. Flat hosts are engine-dependent too (the reference
+/// engine steps the decoder, epoch replays micro-op blocks through
+/// [`ulp_isa::Core::run`]), so the sweep covers both paths.
+fn engine_sweep(engine: ulp_cluster::Engine) {
     use ulp_kernels::TargetEnv;
     for env in [
         TargetEnv::host_m4(),
         TargetEnv::pulp_single(),
         TargetEnv::pulp_parallel(),
     ] {
-        env_sweep(&env);
+        env_sweep(&env, engine);
     }
 }
 
@@ -145,71 +118,62 @@ fn engine_sweep() {
 /// engine ratio by several percent. Tracked as its own pinned number
 /// because the full sweep averages the multi-core floor away behind the
 /// single-core targets.
-fn engine_sweep_quad() {
+fn engine_sweep_quad(engine: ulp_cluster::Engine) {
     for _ in 0..3 {
-        env_sweep(&ulp_kernels::TargetEnv::pulp_parallel());
+        env_sweep(&ulp_kernels::TargetEnv::pulp_parallel(), engine);
     }
 }
 
-fn env_sweep(env: &ulp_kernels::TargetEnv) {
+fn env_sweep(env: &ulp_kernels::TargetEnv, engine: ulp_cluster::Engine) {
     use ulp_kernels::{runner, Benchmark};
     for b in Benchmark::ALL {
         let build = b.build(env);
-        let r = runner::run(&build, env).unwrap_or_else(|e| panic!("{} failed: {e}", build.name));
+        let r = runner::run_with_engine(&build, env, engine)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", build.name));
         std::hint::black_box(r.cycles);
     }
 }
 
 fn compare_engines_on(
     workload: &'static str,
-    sweep: fn(),
+    sweep: fn(ulp_cluster::Engine),
     reps: usize,
-    restore: ulp_cluster::Engine,
 ) -> EngineComparison {
-    // Interleave the engines so slow host drift biases none of them.
-    let mut best = [f64::INFINITY; 4];
+    // Interleave the engines so slow host drift biases neither of them.
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..reps.max(1) {
         for (slot, engine) in ulp_cluster::Engine::ALL.into_iter().enumerate() {
-            ulp_cluster::set_default_engine(engine);
             let t0 = cpu_seconds();
-            sweep();
+            sweep(engine);
             best[slot] = best[slot].min(cpu_seconds() - t0);
         }
     }
-    ulp_cluster::set_default_engine(restore);
     EngineComparison {
         workload,
         reps: reps.max(1),
         reference_cpu_seconds: best[0],
-        turbo_cpu_seconds: best[1],
-        microop_cpu_seconds: best[2],
-        epoch_cpu_seconds: best[3],
+        epoch_cpu_seconds: best[1],
     }
 }
 
-/// Runs the full-sweep engine comparison. Toggles the process-wide
-/// default engine around each sweep (restored to `restore` on exit), so
-/// it must not race with concurrent simulations outside this call.
+/// Runs the full-sweep engine comparison.
 #[must_use]
-pub fn compare_engines(reps: usize, restore: ulp_cluster::Engine) -> EngineComparison {
+pub fn compare_engines(reps: usize) -> EngineComparison {
     compare_engines_on(
         "engine sweep (10 benchmarks x host_m4+pulp_single+pulp_parallel)",
         engine_sweep,
         reps,
-        restore,
     )
 }
 
 /// Runs the quad-core `pulp_parallel`-only engine comparison — the cell
-/// the epoch engine exists to lift. Same toggling caveat as
-/// [`compare_engines`].
+/// the epoch engine exists to lift.
 #[must_use]
-pub fn compare_engines_quad(reps: usize, restore: ulp_cluster::Engine) -> EngineComparison {
+pub fn compare_engines_quad(reps: usize) -> EngineComparison {
     compare_engines_on(
         "quad-core cell (10 benchmarks x pulp_parallel)",
         engine_sweep_quad,
         reps,
-        restore,
     )
 }
 
@@ -292,33 +256,11 @@ pub fn core_peak(reps: usize) -> CorePeak {
     }
 }
 
-/// Pre-PR serial-engine reference timings, for context in the report.
-/// Captured with `time cargo run --release --bin <suite>` on the commit
-/// named below — a different checkout and host state than the in-process
-/// numbers this module measures, so treat ratios against them as
-/// informational, not as the engine speedup (that is [`EngineComparison`]).
-pub const PRE_PR_BASELINE: &[(&str, f64)] = &[
-    ("table1", 0.92),
-    ("pipeline_table", 0.58),
-    ("all_experiments", 2.77),
-];
-
-/// Commit the [`PRE_PR_BASELINE`] numbers were measured at.
-pub const PRE_PR_BASELINE_REV: &str = "e2f45d3";
-
-/// Full-sweep engine-comparison CPU seconds from the committed
-/// `BENCH_simulator.json` this PR's epoch engine and resident-block
-/// micro-optimisations (pre-sized micro-op vectors, reused scheduler key
-/// array) replace. Rendered next to the fresh numbers so the report
-/// records the delta, with the usual different-host-state caveat.
-pub const PRE_PR_ENGINE_SECONDS: &[(&str, f64)] =
-    &[("reference", 0.90), ("turbo", 0.88), ("microop", 0.59)];
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn render_comparison(out: &mut String, c: &EngineComparison, with_pre_pr: bool) {
+fn render_comparison(out: &mut String, c: &EngineComparison) {
     out.push_str(&format!(
         "    \"workload\": \"{}\",\n",
         json_escape(c.workload)
@@ -329,52 +271,18 @@ fn render_comparison(out: &mut String, c: &EngineComparison, with_pre_pr: bool) 
         c.reference_cpu_seconds
     ));
     out.push_str(&format!(
-        "    \"turbo_cpu_seconds\": {:.4},\n",
-        c.turbo_cpu_seconds
-    ));
-    out.push_str(&format!(
-        "    \"microop_cpu_seconds\": {:.4},\n",
-        c.microop_cpu_seconds
-    ));
-    out.push_str(&format!(
         "    \"epoch_cpu_seconds\": {:.4},\n",
         c.epoch_cpu_seconds
     ));
     out.push_str(&format!(
-        "    \"turbo_speedup\": {:.3},\n",
-        c.turbo_speedup()
-    ));
-    out.push_str(&format!(
-        "    \"microop_speedup\": {:.3},\n",
-        c.microop_speedup()
-    ));
-    out.push_str(&format!(
-        "    \"epoch_speedup\": {:.3},\n",
+        "    \"epoch_speedup\": {:.3}\n",
         c.epoch_speedup()
     ));
-    if with_pre_pr {
-        out.push_str(&format!(
-            "    \"epoch_over_microop\": {:.3},\n",
-            c.epoch_over_microop()
-        ));
-        out.push_str("    \"pre_pr_cpu_seconds\": {");
-        for (i, (name, secs)) in PRE_PR_ENGINE_SECONDS.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {secs}", json_escape(name)));
-        }
-        out.push_str("}\n");
-    } else {
-        out.push_str(&format!(
-            "    \"epoch_over_microop\": {:.3}\n",
-            c.epoch_over_microop()
-        ));
-    }
 }
 
 /// Renders the full report as pretty-printed JSON (hand-rolled; the
-/// workspace has no serde). Stable key order, two-space indent.
+/// workspace has no serde). Stable key order, two-space indent. The
+/// suites run under the default engine, named in the `engine` field.
 #[must_use]
 pub fn render_json(
     suites: &[SuitePerf],
@@ -382,32 +290,16 @@ pub fn render_json(
     quad: Option<&EngineComparison>,
     peak: Option<&CorePeak>,
     jobs: usize,
-    engine: ulp_cluster::Engine,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"het-accel-simperf-v1\",\n");
+    out.push_str("  \"schema\": \"het-accel-simperf-v2\",\n");
     out.push_str("  \"time_basis\": \"process CPU seconds (user+sys)\",\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"engine\": \"{}\",\n", engine.name()));
-    out.push_str("  \"pre_pr_baseline\": {\n");
     out.push_str(&format!(
-        "    \"rev\": \"{}\",\n",
-        json_escape(PRE_PR_BASELINE_REV)
+        "  \"engine\": \"{}\",\n",
+        ulp_cluster::Engine::default().name()
     ));
-    out.push_str(
-        "    \"note\": \"serial-engine wall-clock seconds from the pre-PR checkout; \
-         different host state than the suites below — the in-process \
-         engine_comparison is the defensible speedup\",\n",
-    );
-    out.push_str("    \"wall_seconds\": {");
-    for (i, (name, secs)) in PRE_PR_BASELINE.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": {secs}", json_escape(name)));
-    }
-    out.push_str("}\n  },\n");
     out.push_str("  \"suites\": [\n");
     for (i, s) in suites.iter().enumerate() {
         out.push_str("    {");
@@ -435,7 +327,7 @@ pub fn render_json(
     match comparison {
         Some(c) => {
             out.push_str("  \"engine_comparison\": {\n");
-            render_comparison(&mut out, c, true);
+            render_comparison(&mut out, c);
             out.push_str("  },\n");
         }
         None => out.push_str("  \"engine_comparison\": null,\n"),
@@ -443,7 +335,7 @@ pub fn render_json(
     match quad {
         Some(c) => {
             out.push_str("  \"engine_comparison_quad\": {\n");
-            render_comparison(&mut out, c, false);
+            render_comparison(&mut out, c);
             out.push_str("  },\n");
         }
         None => out.push_str("  \"engine_comparison_quad\": null,\n"),
@@ -513,47 +405,34 @@ mod tests {
             workload: "full sweep",
             reps: 3,
             reference_cpu_seconds: 2.0,
-            turbo_cpu_seconds: 1.0,
-            microop_cpu_seconds: 0.25,
             epoch_cpu_seconds: 0.125,
         };
         let quad = EngineComparison {
             workload: "quad cell",
             reps: 3,
             reference_cpu_seconds: 4.0,
-            turbo_cpu_seconds: 4.0,
-            microop_cpu_seconds: 4.0,
             epoch_cpu_seconds: 2.0,
         };
         let peak = CorePeak {
             reference_mips: 50.0,
             microop_mips: 250.0,
         };
-        let json = render_json(
-            &suites,
-            Some(&cmp),
-            Some(&quad),
-            Some(&peak),
-            4,
-            ulp_cluster::Engine::Epoch,
-        );
+        let json = render_json(&suites, Some(&cmp), Some(&quad), Some(&peak), 4);
         // Structural smoke checks (no JSON parser in the workspace).
         assert!(json.starts_with("{\n") && json.ends_with("}\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"engine\": \"epoch\""));
         assert!(json.contains("\"simulated_mips\": 33.60"));
-        assert!(json.contains("\"turbo_speedup\": 2.000"));
-        assert!(json.contains("\"microop_speedup\": 8.000"));
         assert!(json.contains("\"epoch_speedup\": 16.000"));
-        assert!(json.contains("\"epoch_over_microop\": 2.000"));
+        assert!(json.contains("\"epoch_speedup\": 2.000"));
         assert!(json.contains("\"workload\": \"quad cell\""));
-        assert!(json.contains("\"pre_pr_cpu_seconds\": {\"reference\": 0.9"));
         assert!(json.contains("\"reference_mips\": 50.00"));
         assert!(json.contains("\"microop_speedup\": 5.000"));
-        assert!(json.contains(PRE_PR_BASELINE_REV));
-        let no_cmp = render_json(&suites, None, None, None, 1, ulp_cluster::Engine::Reference);
-        assert!(no_cmp.contains("\"engine\": \"reference\""));
+        for gone in ["turbo", "pre_pr", "epoch_over_microop"] {
+            assert!(!json.contains(gone), "unexpected field `{gone}` rendered");
+        }
+        let no_cmp = render_json(&suites, None, None, None, 1);
         assert!(no_cmp.contains("\"engine_comparison\": null"));
         assert!(no_cmp.contains("\"engine_comparison_quad\": null"));
         assert!(no_cmp.contains("\"core_peak\": null"));

@@ -917,7 +917,6 @@ pub struct Cluster {
     event_unit: EventUnit,
     start_time: u64,
     tracer: Tracer,
-    engine: crate::Engine,
     /// Scheduling-key shadow array, reused across runs (the micro-op and
     /// epoch loops re-initialize it; per-run allocation was measurable on
     /// the repeated cold+warm offload pattern).
@@ -965,45 +964,9 @@ impl Cluster {
             config,
             start_time: 0,
             tracer: Tracer::disabled(),
-            engine: crate::default_engine(),
             sched_keys: Vec::new(),
             epoch: EpochScratch::default(),
         }
-    }
-
-    /// Selects the execution engine for this cluster. All engines are
-    /// bit-identical in every observable output; see
-    /// [`crate::set_default_engine`] for the process-wide default.
-    ///
-    /// The micro-op flag on the cores themselves only matters on the host
-    /// path (`ulp_isa::Core::run`); inside the cluster the engine choice is
-    /// entirely the scheduler's, so this is the single knob.
-    pub fn set_engine(&mut self, engine: crate::Engine) {
-        self.engine = engine;
-    }
-
-    /// Which execution engine this cluster uses.
-    #[must_use]
-    pub fn engine(&self) -> crate::Engine {
-        self.engine
-    }
-
-    /// Compatibility shim for the original two-engine knob: `true` selects
-    /// the fastest batching engine ([`crate::Engine::Epoch`]), `false`
-    /// the reference scheduler. Prefer [`Cluster::set_engine`].
-    pub fn set_turbo(&mut self, on: bool) {
-        self.engine = if on {
-            crate::Engine::Epoch
-        } else {
-            crate::Engine::Reference
-        };
-    }
-
-    /// Whether this cluster uses a batching engine (anything other than
-    /// [`crate::Engine::Reference`]).
-    #[must_use]
-    pub fn turbo(&self) -> bool {
-        self.engine != crate::Engine::Reference
     }
 
     /// Attaches a structured event tracer to the cluster and every
@@ -1201,14 +1164,12 @@ impl Cluster {
     /// Runs until every core has halted (or faults/deadlocks/times out).
     ///
     /// Cores are interleaved lowest-local-time-first so shared-resource
-    /// arbitration happens in approximate global order. Four engines
-    /// implement that schedule — the reference one-instruction-per-scan
-    /// loop, a turbo loop that batches the frontmost core, a micro-op
-    /// loop that additionally replays pre-decoded basic blocks, and an
-    /// epoch loop that speculatively replays every core privately up to a
-    /// conflict-checked horizon (see [`Cluster::set_engine`]); they retire
-    /// the exact same instruction sequence and produce bit-identical
-    /// results.
+    /// arbitration happens in approximate global order. Two engines
+    /// implement that schedule (see [`ClusterConfig::engine`]) — the
+    /// reference one-instruction-per-scan loop and an epoch loop that
+    /// speculatively replays every core privately up to a
+    /// conflict-checked horizon; they retire the exact same instruction
+    /// sequence and produce bit-identical results.
     ///
     /// # Errors
     ///
@@ -1216,10 +1177,8 @@ impl Cluster {
     /// `max_cycles`.
     pub fn run_until_halt(&mut self, max_cycles: u64) -> Result<RunResult, ClusterError> {
         let deadline = self.start_time + max_cycles;
-        match self.engine {
+        match self.config.engine {
             crate::Engine::Reference => self.run_loop_reference(deadline, max_cycles)?,
-            crate::Engine::Turbo => self.run_loop_turbo(deadline, max_cycles)?,
-            crate::Engine::Microop => self.run_loop_microop(deadline, max_cycles)?,
             crate::Engine::Epoch => self.run_loop_epoch(deadline, max_cycles)?,
         }
 
@@ -1245,7 +1204,7 @@ impl Cluster {
 
     /// Reference scheduler: rescan for the lowest-local-time running core
     /// before every single instruction. This is the executable definition
-    /// of the interleaving order; the turbo engine is validated against it.
+    /// of the interleaving order; the epoch engine is validated against it.
     fn run_loop_reference(&mut self, deadline: u64, max_cycles: u64) -> Result<(), ClusterError> {
         loop {
             // Pick the running core with the smallest local time.
@@ -1273,9 +1232,15 @@ impl Cluster {
         }
     }
 
-    /// Turbo scheduler: picks the frontmost running core once, then batches
-    /// instructions on it for as long as the choice the reference scheduler
-    /// would make stays the same.
+    /// Exact micro-op scheduler, private to the epoch engine: it runs
+    /// traced epoch runs wholesale and every exact fallback window after a
+    /// rollback. It picks the frontmost running core once, then batches
+    /// that core through pre-decoded basic-block micro-ops
+    /// ([`ulp_isa::Core::exec_block`]) for as long as the choice the
+    /// reference scheduler would make stays the same. Once the frontmost
+    /// *running* core's local time exceeds `until`, the loop returns
+    /// `Ok(())` at a scan boundary (a consistent scheduler state) instead
+    /// of running to halt; `u64::MAX` never pauses.
     ///
     /// Correctness argument: the reference order is argmin over running
     /// cores of the key `(local_time, core_index)` — the strict `<` scan in
@@ -1287,74 +1252,8 @@ impl Cluster {
     /// scan — keys never compare equal because indices are distinct) or
     /// `second`'s core. Any other outcome (halt, sleep, event, barrier) can
     /// change other cores' states, so we apply its side effects and rescan.
-    /// The stepped sequence is therefore exactly the reference sequence,
-    /// instruction for instruction, and every observable output
-    /// (`RunResult`, activity counters, trace events) is bit-identical.
-    fn run_loop_turbo(&mut self, deadline: u64, max_cycles: u64) -> Result<(), ClusterError> {
-        // Scheduling keys pack `(time, index)` into one u64 —
-        // `(time << shift) | index`, with `shift` wide enough for every
-        // index — preserving the lexicographic order the reference
-        // scheduler implements (its strict `<` scan keeps the first, i.e.
-        // lowest-index, core on a time tie) while making both the scan and
-        // the per-step batch check single branchless-friendly integer
-        // compares. Shift/mask rather than multiply/modulo keeps the
-        // per-batch unpack off the u64-division unit. Times stay far below
-        // `u64::MAX >> shift` (runs are bounded by `max_cycles`), so the
-        // packing cannot wrap.
-        let shift = usize::BITS - self.cores.len().saturating_sub(1).leading_zeros();
-        let index_mask = (1u64 << shift) - 1;
-        'outer: loop {
-            // One scan yields both the frontmost running core and the
-            // runner-up key that bounds its batch. `u64::min`/`max` compile
-            // to conditional moves, so the scan does not mispredict on the
-            // cores' effectively random time ordering.
-            let mut best = u64::MAX;
-            let mut second = u64::MAX;
-            for (i, c) in self.cores.iter().enumerate() {
-                let key = if c.state() == CoreState::Running {
-                    (c.time() << shift) | i as u64
-                } else {
-                    u64::MAX
-                };
-                second = second.min(best.max(key));
-                best = best.min(key);
-            }
-            if best == u64::MAX {
-                if self.cores.iter().all(|c| c.state() == CoreState::Halted) {
-                    return Ok(());
-                }
-                return Err(ClusterError::Deadlock);
-            }
-            let i = (best & index_mask) as usize;
-            // Batch core `i`. Field-split borrows hoist the bounds check
-            // out of the hot loop; `apply_outcome` (which needs all of
-            // `self`) runs only after the batch ends.
-            let core = &mut self.cores[i];
-            let outcome = loop {
-                if core.time() > deadline {
-                    return Err(ClusterError::Timeout { max_cycles });
-                }
-                let outcome = core
-                    .step(&mut self.bus)
-                    .map_err(|err| ClusterError::Exec { core: i, err })?;
-                if outcome != StepOutcome::Executed {
-                    break outcome;
-                }
-                if ((core.time() << shift) | i as u64) > second {
-                    continue 'outer;
-                }
-            };
-            self.apply_outcome(i, outcome);
-        }
-    }
-
-    /// Micro-op scheduler: the turbo batching policy, but each batch runs
-    /// through pre-decoded basic-block micro-ops
-    /// ([`ulp_isa::Core::exec_block`]) instead of stepping the decoder.
-    ///
-    /// Correctness argument, on top of [`Self::run_loop_turbo`]'s: the batch
-    /// cut-off `(t_i, i) > second` is evaluated *after* each retired
-    /// instruction in both loops, and for a fixed core index it is a pure
+    /// The batch cut-off `(t_i, i) > second` is evaluated *after* each
+    /// retired instruction, and for a fixed core index it is a pure
     /// threshold on the local time, so it converts exactly to the time bound
     /// passed to `exec_block`: `t ≤ bound ⟺ ((t << shift) | i) ≤ second`.
     /// (Post-retire times are ≥ 1, so the `saturating_sub` corner at
@@ -1362,25 +1261,25 @@ impl Cluster {
     /// deadline before each op, the outcome/bound after each op, and exits
     /// on any redirect (taken branch, stale block, block end) — whereupon
     /// this loop re-looks-up at the new PC and continues batching the same
-    /// core, exactly as the turbo loop would keep stepping it. Blocks are
-    /// built from the same decoded side table the reference fetch uses, and
-    /// the I$ model is consulted once per retired instruction either way,
-    /// so timing, stats and trace events are bit-identical.
+    /// core, exactly as a one-step-at-a-time batch would keep stepping it.
+    /// Blocks are built from the same decoded side table the reference
+    /// fetch uses, and the I$ model is consulted once per retired
+    /// instruction either way, so the stepped sequence is exactly the
+    /// reference sequence, instruction for instruction, and every
+    /// observable output (`RunResult`, activity counters, trace events) is
+    /// bit-identical.
+    ///
+    /// Scheduling keys pack `(time, index)` into one u64 —
+    /// `(time << shift) | index`, with `shift` wide enough for every
+    /// index — preserving the lexicographic order of the reference scan
+    /// while making both the scan and the per-step batch check single
+    /// integer compares. Times stay far below `u64::MAX >> shift` (runs
+    /// are bounded by `max_cycles`), so the packing cannot wrap.
     ///
     /// Each core keeps its current block resident (`Core::exec_resume`),
     /// so the ~2-op batches that time-aligned SPMD cores produce resume
     /// mid-block for the cost of a pc + generation compare instead of a
     /// cache look-up and an `Arc` round-trip per batch.
-    fn run_loop_microop(&mut self, deadline: u64, max_cycles: u64) -> Result<(), ClusterError> {
-        self.run_loop_microop_until(deadline, max_cycles, u64::MAX)
-    }
-
-    /// [`Self::run_loop_microop`] with a pause point: once the frontmost
-    /// *running* core's local time exceeds `until`, the loop returns
-    /// `Ok(())` at a scan boundary (a consistent scheduler state) instead
-    /// of running to halt. `u64::MAX` never pauses — the plain micro-op
-    /// run. The epoch engine uses a finite `until` as its exact-execution
-    /// fallback window after a rollback.
     fn run_loop_microop_until(
         &mut self,
         deadline: u64,
@@ -1427,7 +1326,7 @@ impl Cluster {
             }
             let i = (best & index_mask) as usize;
             // The largest local time that keeps `(time, i)` ahead of the
-            // runner-up key — the turbo batch cut-off as a plain bound.
+            // runner-up key — the batch cut-off as a plain bound.
             let bound = if second == u64::MAX {
                 u64::MAX
             } else if (i as u64) <= (second & index_mask) {
@@ -1529,10 +1428,10 @@ impl Cluster {
     /// driven only by simulated state, so runs are deterministic across
     /// hosts and `--jobs`. Structured tracing needs events in exact global
     /// order, which per-core replay does not produce: trace runs delegate
-    /// to the micro-op engine wholesale (bit-identical by battery).
+    /// to the exact micro-op loop wholesale (bit-identical by battery).
     fn run_loop_epoch(&mut self, deadline: u64, max_cycles: u64) -> Result<(), ClusterError> {
         if self.tracer.is_enabled() {
-            return self.run_loop_microop(deadline, max_cycles);
+            return self.run_loop_microop_until(deadline, max_cycles, u64::MAX);
         }
         let words = self.bus.tcdm.size() / 4;
         if self.epoch.words.len() < words {
@@ -2004,7 +1903,14 @@ mod tests {
     use ulp_isa::Insn;
 
     fn quad() -> Cluster {
-        Cluster::new(ClusterConfig::default())
+        quad_on(crate::Engine::default())
+    }
+
+    fn quad_on(engine: crate::Engine) -> Cluster {
+        Cluster::new(ClusterConfig {
+            engine,
+            ..ClusterConfig::default()
+        })
     }
 
     /// SPMD program: workers sleep, master wakes them, everyone increments
@@ -2296,22 +2202,18 @@ mod tests {
     }
 
     #[test]
-    fn all_four_engines_bit_identical() {
+    fn engines_bit_identical() {
         let run = |engine: crate::Engine| {
-            let mut cl = quad();
-            cl.set_engine(engine);
+            let mut cl = quad_on(engine);
             cl.load_binary(&fork_join_prog(), L2_BASE).unwrap();
             cl.start(L2_BASE, &[], 0);
             cl.run_until_halt(1_000_000).unwrap()
         };
-        let reference = run(crate::Engine::Reference);
-        for engine in [
-            crate::Engine::Turbo,
-            crate::Engine::Microop,
-            crate::Engine::Epoch,
-        ] {
-            assert_eq!(run(engine), reference, "{} diverged", engine.name());
-        }
+        assert_eq!(
+            run(crate::Engine::Epoch),
+            run(crate::Engine::Reference),
+            "epoch diverged"
+        );
     }
 
     #[test]
@@ -2339,9 +2241,9 @@ mod tests {
         for engine in crate::Engine::ALL {
             let mut cl = Cluster::new(ClusterConfig {
                 num_cores: 1,
+                engine,
                 ..ClusterConfig::default()
             });
-            cl.set_engine(engine);
             cl.load_binary(&prog, L2_BASE).unwrap();
             cl.start(L2_BASE, &[], 0);
             cl.run_until_halt(10_000).unwrap();
@@ -2385,8 +2287,7 @@ mod tests {
             a.finish().unwrap()
         };
         let run = |engine: crate::Engine| {
-            let mut cl = quad();
-            cl.set_engine(engine);
+            let mut cl = quad_on(engine);
             cl.load_binary(&prog, L2_BASE).unwrap();
             cl.start(L2_BASE, &[], 0);
             let res = cl.run_until_halt(10_000_000).unwrap();
@@ -2430,8 +2331,7 @@ mod tests {
             a.finish().unwrap()
         };
         let run = |engine: crate::Engine| {
-            let mut cl = quad();
-            cl.set_engine(engine);
+            let mut cl = quad_on(engine);
             cl.load_binary(&prog, L2_BASE).unwrap();
             cl.start(L2_BASE, &[], 0);
             let res = cl.run_until_halt(10_000_000).unwrap();

@@ -2,6 +2,8 @@
 
 use ulp_isa::CoreModel;
 
+use crate::Engine;
+
 /// Static parameters of a simulated cluster.
 ///
 /// The defaults reproduce the PULP3 SoC of the paper: a single quad-core
@@ -43,6 +45,10 @@ pub struct ClusterConfig {
     pub dma_channels: usize,
     /// DMA programming overhead per transfer, in cycles.
     pub dma_setup: u32,
+    /// Host-side execution engine ([`Engine::Epoch`] by default). Every
+    /// engine is bit-identical in every observable output, so this picks
+    /// simulator speed only; [`Engine::Reference`] is the oracle.
+    pub engine: Engine,
 }
 
 impl Default for ClusterConfig {
@@ -60,6 +66,7 @@ impl Default for ClusterConfig {
             barrier_latency: 2,
             dma_channels: 4,
             dma_setup: 10,
+            engine: Engine::Epoch,
         }
     }
 }

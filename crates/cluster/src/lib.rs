@@ -87,107 +87,40 @@ pub fn dma_mmio_contains(addr: u32) -> bool {
     (DMA_MMIO_BASE..DMA_MMIO_BASE + DMA_MMIO_SIZE).contains(&addr)
 }
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which execution engine a [`Cluster`] uses. All four retire the exact
-/// same instruction sequence and produce bit-identical observable results
-/// (`RunResult`, activity counters, trace events, memory, perf counters);
-/// they differ only in host-side speed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
+/// Which execution engine a [`Cluster`] uses (see
+/// [`ClusterConfig::engine`]). Both retire the exact same instruction
+/// sequence and produce bit-identical observable results (`RunResult`,
+/// activity counters, trace events, memory, perf counters); they differ
+/// only in host-side speed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
     /// One-instruction-per-scan argmin scheduler: the executable definition
     /// of the interleaving order and the differential-testing oracle.
-    Reference = 0,
-    /// Batches the frontmost core for as long as the reference scheduler
-    /// would keep choosing it, stepping decoded instructions one at a time.
-    Turbo = 1,
-    /// Turbo batching plus a basic-block micro-op cache: each block is
-    /// pre-decoded once into a flat micro-op vector and replayed directly.
-    Microop = 2,
+    Reference,
     /// Speculative epoch scheduler: each core replays its micro-op blocks
     /// privately up to a shared horizon, a conservative conflict check
     /// validates the epoch, and any conflict rolls the whole epoch back and
     /// re-runs the window through the exact micro-op interleaving.
-    Epoch = 3,
+    #[default]
+    Epoch,
 }
 
 impl Engine {
     /// Parses an engine name as accepted by `het-sim --engine`.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "reference" => Some(Engine::Reference),
-            "turbo" => Some(Engine::Turbo),
-            "microop" => Some(Engine::Microop),
-            "epoch" => Some(Engine::Epoch),
-            _ => None,
-        }
+        Engine::ALL.into_iter().find(|e| e.name() == name)
     }
 
-    /// Every engine, in speed order — the valid `--engine` values.
-    pub const ALL: [Engine; 4] = [
-        Engine::Reference,
-        Engine::Turbo,
-        Engine::Microop,
-        Engine::Epoch,
-    ];
+    /// Every engine, oracle first — the valid `--engine` values.
+    pub const ALL: [Engine; 2] = [Engine::Reference, Engine::Epoch];
 
     /// The engine's CLI / report name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Engine::Reference => "reference",
-            Engine::Turbo => "turbo",
-            Engine::Microop => "microop",
             Engine::Epoch => "epoch",
         }
     }
-}
-
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(Engine::Epoch as u8);
-
-/// Sets the *default* execution engine for clusters built after this call
-/// (the initial value is [`Engine::Epoch`]). All engines produce
-/// bit-identical results; the knob exists as an escape hatch
-/// (`het-sim --engine`) and for differential testing. Also switches the
-/// host-side `ulp_isa::Core` default between its micro-op and classic step
-/// loops, so one call selects the engine platform-wide.
-///
-/// This is a process-wide setting intended for CLI entry points; tests that
-/// need a specific engine on a specific instance should use
-/// [`Cluster::set_engine`] instead to stay race-free under the parallel
-/// test runner.
-pub fn set_default_engine(engine: Engine) {
-    DEFAULT_ENGINE.store(engine as u8, Ordering::Relaxed);
-    // Epoch is a cluster-scheduler strategy; on the single-core host path
-    // it degenerates to micro-op block replay, so both map to the host
-    // core's micro-op loop.
-    ulp_isa::uop::set_default_microop(matches!(engine, Engine::Microop | Engine::Epoch));
-}
-
-/// The current process-wide default execution engine (see
-/// [`set_default_engine`]).
-#[must_use]
-pub fn default_engine() -> Engine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        0 => Engine::Reference,
-        1 => Engine::Turbo,
-        3 => Engine::Epoch,
-        _ => Engine::Microop,
-    }
-}
-
-/// Compatibility shim for the original two-engine knob: `true` restores the
-/// fastest batching default ([`Engine::Epoch`]), `false` selects
-/// [`Engine::Reference`]. Prefer [`set_default_engine`].
-pub fn set_default_turbo(on: bool) {
-    set_default_engine(if on { Engine::Epoch } else { Engine::Reference });
-}
-
-/// Whether the current default engine is a batching one (anything other
-/// than [`Engine::Reference`]; see [`default_engine`]).
-#[must_use]
-pub fn default_turbo() -> bool {
-    default_engine() != Engine::Reference
 }

@@ -4,10 +4,8 @@
 //! arbitration must respect its serialization invariants, the I$ must stay
 //! within its penalty bounds, and whole-cluster runs must be deterministic.
 //!
-//! These are ports of `tests/proptests.rs` (feature-gated, needs the
-//! external `proptest` crate) onto the in-tree `ulp-rng` stream — no
-//! shrinking, but reproducible from the fixed seeds with no registry
-//! access.
+//! Inputs come from the in-tree `ulp-rng` stream — no shrinking, but
+//! reproducible from the fixed seeds with no registry access.
 
 use ulp_cluster::{Cluster, ClusterConfig, ICache, Tcdm, L2_BASE, TCDM_BASE};
 use ulp_isa::prelude::*;

@@ -473,7 +473,6 @@ pub struct HetSystem {
     resident_kernel: Option<String>,
     injector: FaultInjector,
     tracer: Tracer,
-    engine: ulp_cluster::Engine,
 }
 
 impl HetSystem {
@@ -502,7 +501,6 @@ impl HetSystem {
             resident_kernel: None,
             injector,
             tracer: Tracer::disabled(),
-            engine: ulp_cluster::default_engine(),
         }
     }
 
@@ -520,32 +518,6 @@ impl HetSystem {
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Selects the execution engine platform-wide: the cluster's
-    /// scheduling loop and the host MCU's step loop (applied to the fresh
-    /// MCU each [`HetSystem::run_on_host`] builds). All engines produce
-    /// bit-identical reports; see [`ulp_cluster::set_default_engine`].
-    pub fn set_engine(&mut self, engine: ulp_cluster::Engine) {
-        self.engine = engine;
-        self.cluster.set_engine(engine);
-    }
-
-    /// The execution engine this system uses.
-    #[must_use]
-    pub fn engine(&self) -> ulp_cluster::Engine {
-        self.engine
-    }
-
-    /// Compatibility shim for the original two-engine knob: `true` selects
-    /// the fastest batching engine, `false` the reference scheduler.
-    /// Prefer [`HetSystem::set_engine`].
-    pub fn set_turbo(&mut self, on: bool) {
-        self.set_engine(if on {
-            ulp_cluster::Engine::Epoch
-        } else {
-            ulp_cluster::Engine::Reference
-        });
     }
 
     /// The system configuration.
@@ -1385,11 +1357,9 @@ impl HetSystem {
     pub fn run_on_host(&self, build: &KernelBuild) -> Result<HostReport, OffloadError> {
         let mut mcu = Mcu::new(self.config.mcu.clone(), self.config.mcu_freq_hz);
         // Epoch is a cluster-scheduler strategy; on the single-core host
-        // it degenerates to micro-op block replay.
-        mcu.set_microop(matches!(
-            self.engine,
-            ulp_cluster::Engine::Microop | ulp_cluster::Engine::Epoch
-        ));
+        // it degenerates to micro-op block replay, and the reference
+        // engine's counterpart is the classic step loop.
+        mcu.set_microop(self.config.cluster.engine == ulp_cluster::Engine::Epoch);
         for buf in &build.buffers {
             match &buf.init {
                 BufferInit::Data(d) => mcu.write_mem(buf.addr, d)?,
@@ -1687,6 +1657,61 @@ mod tests {
         let e8 = eff(8);
         let e64 = eff(64);
         assert!(e1 < e8 && e8 < e64, "{e1:.3} < {e8:.3} < {e64:.3} violated");
+    }
+
+    #[test]
+    fn prediction_is_monotone_in_iterations() {
+        // Over the whole 1–200 iteration range of the analytic model:
+        // total time grows, efficiency never drops, double buffering
+        // never hurts.
+        let mut sys = HetSystem::new(HetSystemConfig::default());
+        let cost = sys.measure_cost(&small_build()).unwrap();
+        let at = |iterations: usize, double_buffer: bool| {
+            let opts = OffloadOptions {
+                iterations,
+                double_buffer,
+                ..Default::default()
+            };
+            sys.predict(&cost, &opts, true)
+        };
+        for iters in 1..200 {
+            let (a, b) = (at(iters, false), at(iters + 1, false));
+            assert!(b.total_seconds() > a.total_seconds(), "time at {iters}");
+            assert!(b.efficiency() >= a.efficiency() - 1e-12, "eff at {iters}");
+            let db = at(iters, true);
+            assert!(
+                db.total_seconds() <= a.total_seconds() + 1e-15,
+                "db at {iters}"
+            );
+        }
+    }
+
+    #[test]
+    fn faster_host_clock_never_slows_transfers() {
+        // The SPI follows the host clock from 2 to 80 MHz: doubling it
+        // shrinks the binary and input transfers and leaves compute
+        // untouched.
+        let cost = HetSystem::new(HetSystemConfig::default())
+            .measure_cost(&small_build())
+            .unwrap();
+        let at = |mcu_freq_hz: f64| {
+            let sys = HetSystem::new(HetSystemConfig {
+                mcu_freq_hz,
+                ..HetSystemConfig::default()
+            });
+            let opts = OffloadOptions {
+                iterations: 4,
+                ..Default::default()
+            };
+            sys.predict(&cost, &opts, true)
+        };
+        for mhz in (2..=80).step_by(2) {
+            let fast = at(f64::from(mhz) * 1e6);
+            let slow = at(f64::from(mhz) * 0.5e6);
+            assert!(fast.input_seconds < slow.input_seconds, "{mhz} MHz");
+            assert!(fast.binary_seconds < slow.binary_seconds, "{mhz} MHz");
+            assert!((fast.compute_seconds - slow.compute_seconds).abs() < 1e-15);
+        }
     }
 
     #[test]

@@ -378,17 +378,17 @@ impl Core {
             trace_cap: 0,
             tracer: Tracer::disabled(),
             run_since: 0,
-            microop: crate::uop::default_microop(),
+            microop: true,
             block_ctx: None,
             cycle_csr_reads: 0,
             cycle_csr_read_at: None,
         }
     }
 
-    /// Selects the engine used by [`Core::run`]: `true` (the process-wide
-    /// default, see [`crate::uop::set_default_microop`]) executes through
-    /// the pre-decoded micro-op block engine, `false` through the classic
-    /// per-instruction step loop. Both are bit-identical.
+    /// Selects the engine used by [`Core::run`]: `true` (the default)
+    /// executes through the pre-decoded micro-op block engine, `false`
+    /// through the classic per-instruction step loop — the flat-core
+    /// oracle. Both are bit-identical.
     pub fn set_microop(&mut self, on: bool) {
         self.microop = on;
     }
@@ -1140,7 +1140,7 @@ impl Core {
     /// time exceeding `deadline` before an op (→ [`BlockExit::Deadline`]); a
     /// retired non-`Executed` outcome (→ [`BlockExit::Outcome`]); the local
     /// time exceeding `bound` after an op (→ [`BlockExit::Bound`], the
-    /// (time, index) batching cut-off of the turbo scheduler); control
+    /// (time, index) batching cut-off of the cluster's micro-op loop); control
     /// leaving the straight line, the block going stale after a write, or
     /// the block ending (→ [`BlockExit::Redirect`]).
     ///

@@ -31,7 +31,6 @@
 //! exact entry byte offset plus the generation it was built at, so stale or
 //! aliased (unaligned-entry) hits rebuild in place.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::decode_cache::DecodeCache;
@@ -42,28 +41,6 @@ use crate::insn::{Insn, MemSize};
 pub const DEFAULT_BLOCK_CAPACITY: usize = 4096;
 /// Default maximum number of instructions per block.
 pub const DEFAULT_MAX_BLOCK_LEN: usize = 64;
-
-static DEFAULT_MICROOP: AtomicBool = AtomicBool::new(true);
-
-/// Sets the *default* execution engine for cores built after this call:
-/// `true` (the initial value) selects the pre-decoded micro-op block engine,
-/// `false` the classic fetch/decode/execute step loop. Both produce
-/// bit-identical results; the knob exists for differential testing and as
-/// the `het-sim --engine` escape hatch.
-///
-/// Process-wide, intended for CLI entry points; tests that need a specific
-/// engine on a specific core should use `Core::set_microop` instead to stay
-/// race-free under the parallel test runner.
-pub fn set_default_microop(on: bool) {
-    DEFAULT_MICROOP.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide default core engine (see
-/// [`set_default_microop`]).
-#[must_use]
-pub fn default_microop() -> bool {
-    DEFAULT_MICROOP.load(Ordering::Relaxed)
-}
 
 /// Direct-dispatch handler index of a [`MicroOp`].
 ///

@@ -5,11 +5,13 @@
 //! The seeded battery below runs in the default `cargo test` with no
 //! external dependencies: 10 000 corner-biased operand triples per opcode
 //! from the in-tree `ulp-rng` stream, reproducible from the fixed seed.
-//! The proptest variant (shrinking, adaptive case generation) remains in
-//! the feature-gated `deep` module at the bottom.
+//! The same stream also checks the binary and text front ends on hostile
+//! input: the decoder is total and its canonical form stable on random
+//! words, and the assembly parser never panics on random text.
 
 use ulp_isa::prelude::*;
-use ulp_rng::gen::operand32;
+use ulp_isa::{decode, encode};
+use ulp_rng::gen::{choose, operand32};
 use ulp_rng::XorShiftRng;
 
 /// Independently evaluates the architected result of a 3-register ALU
@@ -310,48 +312,89 @@ fn diff_addi_vs_add() {
     }
 }
 
-/// The deep variant: proptest-driven case generation with shrinking.
-/// Needs the external `proptest` crate — add `proptest = "1"` under
-/// `[dev-dependencies]` (registry access required) and pass
-/// `--features proptest`.
-#[cfg(feature = "proptest")]
-mod deep {
-    use super::{eval, run_one};
-    use proptest::prelude::*;
-    use ulp_isa::prelude::*;
-
-    macro_rules! alu_case_deep {
-        ($name:ident, $variant:ident) => {
-            proptest! {
-                #[test]
-                fn $name(a in any::<u32>(), b in any::<u32>(), d in any::<u32>()) {
-                    let insn = Insn::$variant(R1, R2, R3);
-                    prop_assert_eq!(run_one(insn, a, b, d), eval(&insn, a, b, d));
-                }
+/// Decoding is total on arbitrary words, and canonicalization is stable:
+/// any word that decodes re-encodes (when its operands fit) to a word that
+/// decodes to the same instruction. Half the words are uniformly random;
+/// the other half flip a few bits of a known-good encoding, so the
+/// decodable space is sampled densely too.
+#[test]
+fn decode_is_total_and_decode_encode_is_stable() {
+    let seeds: Vec<u32> = {
+        let mut a = Asm::new();
+        a.add(R1, R2, R3);
+        a.lw(R4, R5, 12);
+        a.sw(R6, R7, -8);
+        a.mac(R8, R9, R10);
+        a.slli(R11, R12, 5);
+        a.addi(R13, R14, -100);
+        a.insn(Insn::Csrr(R15, Csr::CoreId));
+        a.sev(3);
+        a.wfe();
+        a.barrier();
+        a.halt();
+        a.finish().unwrap().words().to_vec()
+    };
+    let mut rng = XorShiftRng::seed_from_u64(0x0C01);
+    let mut decoded = 0usize;
+    let cases = 20_000 * ulp_par::battery_scale();
+    for _ in 0..cases {
+        let word = if rng.gen_bool(0.5) {
+            rng.next_u32()
+        } else {
+            let mut w = *choose(&mut rng, &seeds);
+            for _ in 0..rng.gen_range(1u32..=3) {
+                w ^= 1 << rng.gen_range(0u32..32);
             }
+            w
         };
+        let Ok(insn) = decode(word) else { continue };
+        decoded += 1;
+        if let Ok(word2) = encode(&insn) {
+            assert_eq!(
+                decode(word2),
+                Ok(insn),
+                "{word:#010x} decodes to `{insn}`, whose encoding {word2:#010x} does not"
+            );
+        }
     }
+    assert!(
+        decoded * 10 >= cases,
+        "only {decoded}/{cases} words decoded: the stream misses the valid space"
+    );
+}
 
-    alu_case_deep!(deep_add, Add);
-    alu_case_deep!(deep_sub, Sub);
-    alu_case_deep!(deep_and, And);
-    alu_case_deep!(deep_or, Or);
-    alu_case_deep!(deep_xor, Xor);
-    alu_case_deep!(deep_sll, Sll);
-    alu_case_deep!(deep_srl, Srl);
-    alu_case_deep!(deep_sra, Sra);
-    alu_case_deep!(deep_slt, Slt);
-    alu_case_deep!(deep_sltu, Sltu);
-    alu_case_deep!(deep_min, Min);
-    alu_case_deep!(deep_max, Max);
-    alu_case_deep!(deep_mul, Mul);
-    alu_case_deep!(deep_mac, Mac);
-    alu_case_deep!(deep_sdotv4, SdotV4);
-    alu_case_deep!(deep_sdotv2, SdotV2);
-    alu_case_deep!(deep_addv4, AddV4);
-    alu_case_deep!(deep_addv2, AddV2);
-    alu_case_deep!(deep_subv4, SubV4);
-    alu_case_deep!(deep_subv2, SubV2);
-    alu_case_deep!(deep_div, Div);
-    alu_case_deep!(deep_divu, Divu);
+/// Random character from a mix that reaches every parser branch: mostly
+/// assembly-ish ASCII, plus arbitrary non-control Unicode and newlines.
+fn text_char(rng: &mut XorShiftRng) -> char {
+    const ASCII: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789 ,():+-.#;_xXrR\t\n";
+    if rng.gen_bool(0.8) {
+        char::from(*choose(rng, ASCII))
+    } else {
+        char::from_u32(rng.gen_range(0x20u32..=0x10_FFFF))
+            .filter(|c| !c.is_control())
+            .unwrap_or('?')
+    }
+}
+
+/// The assembly parser never panics, whatever text it is fed: random
+/// strings up to 200 characters, and mnemonic-shaped near misses (a real
+/// mnemonic followed by up to 40 characters of operand-alphabet junk).
+#[test]
+fn text_parser_survives_random_and_mnemonic_shaped_garbage() {
+    const MNEMONICS: &[&str] = &["add", "lw", "beq", "lp.setup", "smull", "csrr", "sev"];
+    const JUNK: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789 ,():+-";
+    let mut rng = XorShiftRng::seed_from_u64(0x0C02);
+    for _ in 0..5_000 * ulp_par::battery_scale() {
+        let len = rng.gen_range(0usize..=200);
+        let text: String = (0..len).map(|_| text_char(&mut rng)).collect();
+        let _ = ulp_isa::parse_insn(&text);
+        let _ = ulp_isa::parse_program(&text);
+
+        let junk: String = (0..rng.gen_range(0usize..=40))
+            .map(|_| char::from(*choose(&mut rng, JUNK)))
+            .collect();
+        let line = format!("{} {junk}", choose(&mut rng, MNEMONICS));
+        let _ = ulp_isa::parse_insn(&line);
+        let _ = ulp_isa::parse_program(&line);
+    }
 }

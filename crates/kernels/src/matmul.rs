@@ -391,7 +391,9 @@ mod tests {
     use super::*;
     use crate::runner::run;
 
-    const TEST_N: usize = 16;
+    /// Every power-of-two size from 8 to 32: small enough to simulate on
+    /// every target, large enough to exercise the tiling.
+    const TEST_SIZES: [usize; 3] = [8, 16, 32];
 
     fn all_envs() -> [TargetEnv; 5] {
         [
@@ -406,24 +408,30 @@ mod tests {
     #[test]
     fn char_correct_on_all_targets() {
         for env in all_envs() {
-            let build = build_sized(MatVariant::Char, &env, TEST_N);
-            run(&build, &env).unwrap_or_else(|e| panic!("{}: {e}", build.name));
+            for n in TEST_SIZES {
+                let build = build_sized(MatVariant::Char, &env, n);
+                run(&build, &env).unwrap_or_else(|e| panic!("{} n={n}: {e}", build.name));
+            }
         }
     }
 
     #[test]
     fn short_correct_on_all_targets() {
         for env in all_envs() {
-            let build = build_sized(MatVariant::Short, &env, TEST_N);
-            run(&build, &env).unwrap_or_else(|e| panic!("{}: {e}", build.name));
+            for n in TEST_SIZES {
+                let build = build_sized(MatVariant::Short, &env, n);
+                run(&build, &env).unwrap_or_else(|e| panic!("{} n={n}: {e}", build.name));
+            }
         }
     }
 
     #[test]
     fn fixed_correct_on_all_targets() {
         for env in all_envs() {
-            let build = build_sized(MatVariant::Fixed, &env, TEST_N);
-            run(&build, &env).unwrap_or_else(|e| panic!("{}: {e}", build.name));
+            for n in TEST_SIZES {
+                let build = build_sized(MatVariant::Fixed, &env, n);
+                run(&build, &env).unwrap_or_else(|e| panic!("{} n={n}: {e}", build.name));
+            }
         }
     }
 

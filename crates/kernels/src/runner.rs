@@ -5,7 +5,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ulp_cluster::{Cluster, ClusterActivity, ClusterConfig, ClusterError, L2_BASE};
+use ulp_cluster::{Cluster, ClusterActivity, ClusterConfig, ClusterError, Engine, L2_BASE};
 use ulp_isa::{Core, CoreModel, CoreState, ExecError, FlatMemory};
 
 use crate::codegen::{BufferInit, KernelBuild, TargetEnv};
@@ -73,12 +73,17 @@ pub struct KernelRun {
 pub const MAX_KERNEL_CYCLES: u64 = 4_000_000_000;
 
 /// Runs a host/baseline build on a single core over flat memory and
-/// verifies its outputs.
+/// verifies its outputs. [`Engine::Reference`] steps the classic decode
+/// loop, [`Engine::Epoch`] replays micro-op blocks (bit-identical).
 ///
 /// # Errors
 ///
 /// Returns [`RunError`] on faults, timeout, or output mismatch.
-pub fn run_on_flat(build: &KernelBuild, model: CoreModel) -> Result<KernelRun, RunError> {
+pub fn run_on_flat(
+    build: &KernelBuild,
+    model: CoreModel,
+    engine: Engine,
+) -> Result<KernelRun, RunError> {
     const CODE_BASE: u32 = 0x2000_0000;
     let mut mem = FlatMemory::new(CODE_BASE, 512 * 1024);
     mem.load_program(&build.program, CODE_BASE)?;
@@ -89,6 +94,7 @@ pub fn run_on_flat(build: &KernelBuild, model: CoreModel) -> Result<KernelRun, R
         }
     }
     let mut core = Core::new(0, model);
+    core.set_microop(engine == Engine::Epoch);
     core.reset(CODE_BASE);
     for &(r, v) in &build.args {
         core.set_reg(r, v);
@@ -116,9 +122,14 @@ pub fn run_on_flat(build: &KernelBuild, model: CoreModel) -> Result<KernelRun, R
 /// # Errors
 ///
 /// Returns [`RunError`] on faults, deadlock, timeout, or output mismatch.
-pub fn run_on_cluster(build: &KernelBuild, env: &TargetEnv) -> Result<KernelRun, RunError> {
+pub fn run_on_cluster(
+    build: &KernelBuild,
+    env: &TargetEnv,
+    engine: Engine,
+) -> Result<KernelRun, RunError> {
     let mut cluster = Cluster::new(ClusterConfig {
         num_cores: env.num_cores,
+        engine,
         ..ClusterConfig::default()
     });
     run_on_existing_cluster(build, &mut cluster)
@@ -177,17 +188,31 @@ pub fn run_on_existing_cluster(
 }
 
 /// Runs a build on whatever its environment implies (cluster for
-/// accelerator builds, flat memory otherwise).
+/// accelerator builds, flat memory otherwise) under the default engine.
 ///
 /// # Errors
 ///
 /// Returns [`RunError`] on any failure (see [`run_on_flat`] /
 /// [`run_on_cluster`]).
 pub fn run(build: &KernelBuild, env: &TargetEnv) -> Result<KernelRun, RunError> {
+    run_with_engine(build, env, Engine::default())
+}
+
+/// [`run`] under an explicit simulation engine. Every engine yields the
+/// same [`KernelRun`]; only host time differs.
+///
+/// # Errors
+///
+/// Returns [`RunError`] on any failure (see [`run`]).
+pub fn run_with_engine(
+    build: &KernelBuild,
+    env: &TargetEnv,
+    engine: Engine,
+) -> Result<KernelRun, RunError> {
     if env.data_base == 0x1000_0000 {
-        run_on_cluster(build, env)
+        run_on_cluster(build, env, engine)
     } else {
-        run_on_flat(build, env.model)
+        run_on_flat(build, env.model, engine)
     }
 }
 
@@ -317,7 +342,7 @@ mod tests {
     #[test]
     fn cluster_activity_collected() {
         let env = TargetEnv::pulp_parallel();
-        let run = run_on_cluster(&vec_add_build(&env, 128), &env).unwrap();
+        let run = run_on_cluster(&vec_add_build(&env, 128), &env, Engine::default()).unwrap();
         let act = run.activity.unwrap();
         assert_eq!(act.core_active_cycles.len(), 4);
         assert!(act.total_retired() > 0);

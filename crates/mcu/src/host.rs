@@ -131,8 +131,8 @@ impl Mcu {
     }
 
     /// Selects whether [`Mcu::run_program`] uses the micro-op block engine
-    /// (`true`, the process default) or the classic one-instruction step
-    /// loop (`false`). Both are bit-identical; see
+    /// (`true`, the default) or the classic one-instruction step loop
+    /// (`false`). Both are bit-identical; see
     /// [`ulp_isa::Core::set_microop`].
     pub fn set_microop(&mut self, on: bool) {
         self.core.set_microop(on);

@@ -371,16 +371,50 @@ mod tests {
 
     #[test]
     fn envelope_solver_respects_budget() {
+        // Dense sweep over 0.3–40 mW: the chosen point never exceeds its
+        // budget, stays inside the modelled supply range and timing
+        // limit, and 10% more budget never yields a slower point.
         let m = model();
         let act = busy_activity(4, 8);
-        for budget in [0.5e-3, 2.0e-3, 5.0e-3, 9.0e-3, 50.0e-3] {
-            if let Some(op) = m.max_freq_under_power(budget, &act) {
+        for step in 0..=397 {
+            let budget = (0.3 + 0.1 * f64::from(step)) * 1e-3;
+            let Some(op) = m.max_freq_under_power(budget, &act) else {
+                continue;
+            };
+            assert!(
+                op.total_power_w <= budget * 1.0001,
+                "budget {budget} violated"
+            );
+            assert!(op.freq_hz > 0.0);
+            assert!((0.5..=1.0).contains(&op.vdd), "vdd {} at {budget}", op.vdd);
+            assert!(op.freq_hz <= m.fmax_hz(op.vdd) * 1.0001);
+            if let Some(more) = m.max_freq_under_power(budget * 1.1, &act) {
                 assert!(
-                    op.total_power_w <= budget * 1.0001,
-                    "budget {budget} violated"
+                    more.freq_hz >= op.freq_hz * 0.999,
+                    "more budget than {budget} ran slower"
                 );
-                assert!(op.freq_hz > 0.0);
             }
+        }
+    }
+
+    #[test]
+    fn power_is_smooth_across_the_supply_range() {
+        // No cliffs between adjacent operating points: the envelope
+        // solver relies on it.
+        let m = model();
+        let act = busy_activity(4, 8);
+        let mut prev: Option<f64> = None;
+        for step in 0..=50 {
+            let v = 0.5 + 0.01 * f64::from(step);
+            let p = m.total_power_w(m.fmax_hz(v), v, &act);
+            if let Some(q) = prev {
+                let ratio = p / q;
+                assert!(
+                    (0.9..1.6).contains(&ratio),
+                    "power cliff at {v:.3} V: ×{ratio:.2}"
+                );
+            }
+            prev = Some(p);
         }
     }
 

@@ -1,10 +1,8 @@
 //! Input-sampling helpers for always-on randomized tests.
 //!
-//! The workspace's deeper fuzz suites need the external `proptest` crate
-//! and stay behind the off-by-default `proptest` feature. The helpers
-//! here cover the common sampling shapes those suites use — pick one of
-//! a slice, interesting integer corner cases, random byte vectors — so
-//! seeded randomized tests can run in the default `cargo test` with no
+//! The helpers cover the common sampling shapes of property tests — pick
+//! one of a slice, interesting integer corner cases, random byte vectors —
+//! so seeded randomized tests run in the default `cargo test` with no
 //! registry access, and reproduce exactly from their seed.
 //!
 //! # Example

@@ -231,11 +231,17 @@ impl TraceReplayer {
         if version != TRACE_VERSION {
             return Err(TraceError::BadVersion(version));
         }
-        let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        let body_end = HEADER_BYTES + count * RECORD_BYTES;
-        if bytes.len() != body_end + 8 {
-            return Err(TraceError::Truncated);
-        }
+        // The count is untrusted: a body it cannot describe exactly —
+        // including one too large to address — is a truncated file.
+        let count = usize::try_from(u64::from_le_bytes(
+            bytes[8..16].try_into().expect("8 bytes"),
+        ))
+        .map_err(|_| TraceError::Truncated)?;
+        let body_end = count
+            .checked_mul(RECORD_BYTES)
+            .and_then(|body| body.checked_add(HEADER_BYTES))
+            .filter(|&end| end.checked_add(8) == Some(bytes.len()))
+            .ok_or(TraceError::Truncated)?;
         let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
         if fnv1a_bytes(&bytes[HEADER_BYTES..body_end]) != stored {
             return Err(TraceError::BadChecksum);
@@ -274,8 +280,10 @@ impl TraceReplayer {
                 "header missing schema {TRACE_SCHEMA:?}: {header}"
             )));
         }
-        let count = json_u64(header, "count")? as usize;
-        let mut requests = Vec::with_capacity(count);
+        let count = json_u64(header, "count")?;
+        // Every record is a line of its own: reserve what the text holds,
+        // not what the header promises.
+        let mut requests = Vec::with_capacity(lines.clone().count());
         for line in lines.filter(|l| !l.trim().is_empty()) {
             let kernel = json_u64(line, "kernel")?;
             let class = json_u64(line, "class")?;
@@ -291,7 +299,7 @@ impl TraceReplayer {
                 arrival_ns: json_u64(line, "arrival_ns")?,
             });
         }
-        if requests.len() != count {
+        if requests.len() as u64 != count {
             return Err(TraceError::Json(format!(
                 "header promises {count} records, found {}",
                 requests.len()

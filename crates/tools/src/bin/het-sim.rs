@@ -46,7 +46,6 @@ fn run() -> Result<(), String> {
             "no-fallback",
             "counters",
             "perf",
-            "no-turbo",
             "serve",
             "soak",
             "serial",
@@ -68,7 +67,7 @@ fn run() -> Result<(), String> {
              [--stuck-fetch-enable] [--fault-seed N] [--max-retries N] \
              [--backoff-cycles N] [--watchdog-cycles N] [--no-fallback] \
              [--trace FILE] [--trace-cap N] [--counters] \
-             [--perf] [--engine reference|turbo|microop|epoch] [--no-turbo] [--jobs N] \
+             [--perf] [--engine reference|epoch] [--jobs N] \
              [--serve] [--pool N] [--max-batch N] [--serial] [--no-fair] \
              [--serve-seed N] [--duration-ms N] [--tenants N] \
              [--power-budget MW] \
@@ -81,27 +80,6 @@ fn run() -> Result<(), String> {
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or(""))?;
     let mcu_hz = args.get_f64("mcu-mhz", 16.0)? * 1e6;
     let iterations = args.get_usize("iterations", 16)?;
-    // Engine selection must precede system construction, which latches the
-    // choice. `--engine` picks one of the bit-identical engines;
-    // `--no-turbo` stays as the original escape hatch to the reference
-    // scheduler.
-    if let Some(name) = args.get("engine") {
-        let engine = ulp_cluster::Engine::from_name(name).ok_or_else(|| {
-            let valid = ulp_cluster::Engine::ALL
-                .iter()
-                .map(|e| e.name())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "--engine: `{name}` is not a known engine (valid engines, \
-                 all bit-identical: {valid})"
-            )
-        })?;
-        ulp_cluster::set_default_engine(engine);
-    }
-    if args.has("no-turbo") {
-        ulp_cluster::set_default_turbo(false);
-    }
     if args.has("jobs") {
         let jobs = args.get_usize("jobs", 1)?;
         if jobs == 0 {
@@ -128,6 +106,20 @@ fn run() -> Result<(), String> {
             ..HetSystemConfig::default()
         }
     };
+    // `--engine` picks one of the bit-identical engines.
+    if let Some(name) = args.get("engine") {
+        cfg.cluster.engine = ulp_cluster::Engine::from_name(name).ok_or_else(|| {
+            let valid = ulp_cluster::Engine::ALL
+                .iter()
+                .map(|e| e.name())
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!(
+                "--engine: `{name}` is not a known engine (valid engines, \
+                 all bit-identical: {valid})"
+            )
+        })?;
+    }
     if let Some(link) = args.get("link") {
         cfg.link_width = match link {
             "spi" => SpiWidth::Single,
@@ -289,7 +281,7 @@ fn run() -> Result<(), String> {
     if args.has("perf") {
         println!(
             "\nsimulator perf ({} engine):",
-            ulp_cluster::default_engine().name()
+            sys.config().cluster.engine.name()
         );
         println!("  host wall-clock  {perf_host_seconds:>10.4} s");
         println!("  target retired   {perf_retired:>10} insns");

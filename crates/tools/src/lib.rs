@@ -256,6 +256,43 @@ mod tests {
         assert_eq!(back.rodata(), prog.rodata());
     }
 
+    /// Image parsing never panics on arbitrary bytes, with or without a
+    /// valid magic and a header whose counts fit the body; and a valid
+    /// header whose body is cut short is rejected as truncated.
+    #[test]
+    fn from_image_is_total_and_rejects_truncated_bodies() {
+        use ulp_rng::gen::byte_vec;
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(0x1A6E);
+        let header = |words: u32, rodata: u32| {
+            let mut img = MAGIC.to_vec();
+            img.extend_from_slice(&words.to_le_bytes());
+            img.extend_from_slice(&rodata.to_le_bytes());
+            img
+        };
+        for _ in 0..2_000 {
+            let mut bytes = byte_vec(&mut rng, 0..=256);
+            if bytes.len() >= 4 && rng.gen_bool(0.5) {
+                bytes[..4].copy_from_slice(MAGIC);
+            }
+            let _ = from_image(&bytes);
+
+            // A self-consistent header over a random body: decodes or
+            // reports the bad word, never panics.
+            let (words, rodata) = (rng.gen_range(0u32..16), rng.gen_range(0u32..16));
+            let body = (4 * words + rodata) as usize;
+            let mut img = header(words, rodata);
+            img.extend(byte_vec(&mut rng, body..=body));
+            let _ = from_image(&img);
+
+            // Fewer body bytes than the header claims.
+            let words = rng.gen_range(1u32..64);
+            let cut = rng.gen_range(0usize..16);
+            let mut img = header(words, 0);
+            img.resize(img.len() + (words as usize * 4).saturating_sub(cut + 1), 0);
+            assert_eq!(from_image(&img), Err(ImageError::Truncated));
+        }
+    }
+
     #[test]
     fn image_errors() {
         assert_eq!(from_image(b"bogus"), Err(ImageError::Truncated));
@@ -300,33 +337,5 @@ mod tests {
         assert!(parse_benchmark("quicksort").is_err());
         assert_eq!(parse_model("M4").unwrap().name, "cortex-m4");
         assert!(parse_model("z80").is_err());
-    }
-}
-
-// Needs the external `proptest` crate; see the `proptest` feature note in
-// Cargo.toml.
-#[cfg(all(test, feature = "proptest"))]
-mod fuzz {
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Image parsing never panics on arbitrary bytes.
-        #[test]
-        fn from_image_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-            let _ = super::from_image(&bytes);
-        }
-
-        /// Valid headers with truncated bodies are rejected, not panicked on.
-        #[test]
-        fn truncated_bodies_rejected(words in 1u32..64, cut in 0usize..16) {
-            let mut img = Vec::new();
-            img.extend_from_slice(super::MAGIC);
-            img.extend_from_slice(&words.to_le_bytes());
-            img.extend_from_slice(&0u32.to_le_bytes());
-            // Provide fewer bytes than the header claims.
-            let full = words as usize * 4;
-            img.extend(std::iter::repeat_n(0u8, full.saturating_sub(cut + 1)));
-            prop_assert!(super::from_image(&img).is_err());
-        }
     }
 }

@@ -1,15 +1,15 @@
-//! Differential battery for the batching cluster engines.
+//! Differential battery for the epoch cluster engine.
 //!
-//! The turbo scheduler batches instructions on the frontmost core instead
-//! of rescanning before every step, the micro-op engine additionally
-//! replays pre-decoded basic blocks, and the epoch engine speculates whole
-//! per-core windows and repairs the arbitration afterwards (see
-//! `DESIGN.md`). Their contract is *bit-identity* with the reference
-//! scheduler — not "close", identical: same `RunResult` (retired counts
-//! included), same error (deadlocks and timeouts included), same memory
-//! image, same trace, on every program and every configuration.
+//! The epoch engine speculates whole per-core windows over pre-decoded
+//! micro-op blocks and repairs the arbitration afterwards, falling back to
+//! an exact micro-op interleaving on conflicts and running traced runs
+//! through that exact loop wholesale (see `DESIGN.md`). Its contract is
+//! *bit-identity* with the reference scheduler — not "close", identical:
+//! same `RunResult` (retired counts included), same error (deadlocks and
+//! timeouts included), same memory image, same trace, on every program and
+//! every configuration.
 //!
-//! Part A drives all four engines over hundreds of seeded random SPMD
+//! Part A drives both engines over hundreds of seeded random SPMD
 //! programs on random cluster shapes (core count, TCDM banking, cache and
 //! barrier latencies), including programs that deadlock or fault, plus a
 //! dedicated stream of self-modifying programs that rewrite instructions
@@ -174,8 +174,7 @@ fn run_engine(
     engine: Engine,
     tracer: Option<Tracer>,
 ) -> (Result<RunResult, ClusterError>, (Vec<u8>, Option<Tracer>)) {
-    let mut cl = Cluster::new(*cfg);
-    cl.set_engine(engine);
+    let mut cl = Cluster::new(ClusterConfig { engine, ..*cfg });
     if let Some(t) = &tracer {
         cl.set_tracer(t.clone());
     }
@@ -191,11 +190,13 @@ fn run_engine(
 /// Seed of the Part A battery stream.
 const BATTERY_SEED: u64 = 0x70B0_D1FF;
 
-/// Runs one (config, program) pair on all four engines and asserts every
+/// Runs one (config, program) pair on both engines and asserts every
 /// observable is identical, the reference scan being the oracle. Every
 /// `trace`d case also attaches a tracer per engine and compares the
-/// exported Chrome JSON byte-for-byte. Returns the reference outcome.
-fn assert_four_way(
+/// exported Chrome JSON byte-for-byte — the traced epoch run goes through
+/// the exact micro-op loop wholesale, so this keeps that loop checked.
+/// Returns the reference outcome.
+fn assert_two_way(
     cfg: &ClusterConfig,
     prog: &Program,
     trace: bool,
@@ -213,22 +214,19 @@ fn assert_four_way(
     let (reference, ref_mem) = run_engine(cfg, prog, Engine::Reference, tracer(trace));
     let ref_json = ref_mem.1.as_ref().map(|t| t.chrome_json());
     ulp_par::battery_case(battery, repro, || {
-        for engine in [Engine::Turbo, Engine::Microop, Engine::Epoch] {
-            let name = engine.name();
-            let (result, mem) = run_engine(cfg, prog, engine, tracer(trace));
-            assert_eq!(result, reference, "{ctx}: {name} result diverged");
-            assert_eq!(mem.0, ref_mem.0, "{ctx}: {name} TCDM image diverged");
-            if let (Some(golden), Some(t)) = (&ref_json, &mem.1) {
-                assert_eq!(&t.chrome_json(), golden, "{ctx}: {name} trace diverged");
-            }
+        let (result, mem) = run_engine(cfg, prog, Engine::Epoch, tracer(trace));
+        assert_eq!(result, reference, "{ctx}: epoch result diverged");
+        assert_eq!(mem.0, ref_mem.0, "{ctx}: epoch TCDM image diverged");
+        if let (Some(golden), Some(t)) = (&ref_json, &mem.1) {
+            assert_eq!(&t.chrome_json(), golden, "{ctx}: epoch trace diverged");
         }
     });
     reference
 }
 
 /// Part A: 600 seeded random (config, program) pairs per unit of
-/// `ULP_BATTERY_SCALE` (default 1; the nightly CI job raises it), all
-/// four engines, every observable compared for equality. Every 16th pair
+/// `ULP_BATTERY_SCALE` (default 1; CI raises it), both engines, every
+/// observable compared for equality. Every 16th pair
 /// also runs with a tracer attached on each side and compares the exported
 /// Chrome JSON byte-for-byte. A failing case appends its reproduction
 /// line to `target/battery-failures/` before panicking.
@@ -250,11 +248,11 @@ fn engines_match_reference_on_600_random_programs() {
             "engines_match_reference_on_600_random_programs: \
              seed={BATTERY_SEED:#x} case={case} ULP_BATTERY_SCALE={scale}"
         );
-        match assert_four_way(
+        match assert_two_way(
             &cfg,
             &prog,
             case % 16 == 0,
-            "turbo_differential",
+            "engine_differential",
             &ctx,
             &repro,
         ) {
@@ -347,7 +345,7 @@ fn random_smc_program(rng: &mut XorShiftRng) -> Program {
 }
 
 /// Part A': 120 seeded self-modifying programs per unit of
-/// `ULP_BATTERY_SCALE`, all four engines, every observable compared —
+/// `ULP_BATTERY_SCALE`, both engines, every observable compared —
 /// the stress case for the micro-op block cache's generation-based
 /// invalidation (in-block staleness after a store, cross-block staleness
 /// on re-entry of a cached block). Every case must halt: an SMC program
@@ -368,14 +366,7 @@ fn engines_match_reference_on_self_modifying_programs() {
             "engines_match_reference_on_self_modifying_programs: \
              seed={SMC_SEED:#x} case={case} ULP_BATTERY_SCALE={scale}"
         );
-        let outcome = assert_four_way(
-            &cfg,
-            &prog,
-            case % 8 == 0,
-            "microop_smc_differential",
-            &ctx,
-            &repro,
-        );
+        let outcome = assert_two_way(&cfg, &prog, case % 8 == 0, "smc_differential", &ctx, &repro);
         assert!(outcome.is_ok(), "{ctx}: SMC program must halt: {outcome:?}");
     }
 }
@@ -487,7 +478,7 @@ fn random_contention_program(rng: &mut XorShiftRng, banks: usize) -> Program {
 }
 
 /// Part A'': 150 seeded contention-heavy programs per unit of
-/// `ULP_BATTERY_SCALE`, all four engines, every observable compared — the
+/// `ULP_BATTERY_SCALE`, both engines, every observable compared — the
 /// adversarial stream for the epoch engine's bank-conflict repair,
 /// data-flow hazard abort, and I$-miss fallback. Every case must halt.
 #[test]
@@ -506,7 +497,7 @@ fn engines_match_reference_on_contention_heavy_programs() {
             "engines_match_reference_on_contention_heavy_programs: \
              seed={CONTENTION_SEED:#x} case={case} ULP_BATTERY_SCALE={scale}"
         );
-        let outcome = assert_four_way(
+        let outcome = assert_two_way(
             &cfg,
             &prog,
             case % 16 == 0,
@@ -545,11 +536,15 @@ fn engines_match_reference_on_all_benchmarks_with_and_without_faults() {
         let host = benchmark.build(&TargetEnv::host_m4());
         for fault in &fault_modes {
             let observe = |engine: Engine| {
+                let defaults = HetSystemConfig::default();
                 let mut sys = HetSystem::new(HetSystemConfig {
                     fault: *fault,
-                    ..HetSystemConfig::default()
+                    cluster: ClusterConfig {
+                        engine,
+                        ..defaults.cluster
+                    },
+                    ..defaults
                 });
-                sys.set_engine(engine);
                 let opts = OffloadOptions {
                     iterations: 2,
                     ..OffloadOptions::default()
@@ -559,16 +554,12 @@ fn engines_match_reference_on_all_benchmarks_with_and_without_faults() {
                     .unwrap_or_else(|e| panic!("{benchmark:?} offload failed: {e}"));
                 format!("{report:?} {:?}", sys.link_stats())
             };
-            let golden = observe(Engine::Reference);
-            for engine in [Engine::Turbo, Engine::Microop, Engine::Epoch] {
-                assert_eq!(
-                    observe(engine),
-                    golden,
-                    "{benchmark:?} (faults active: {}) diverged: {} vs reference",
-                    fault.is_active(),
-                    engine.name()
-                );
-            }
+            assert_eq!(
+                observe(Engine::Epoch),
+                observe(Engine::Reference),
+                "{benchmark:?} (faults active: {}) diverged: epoch vs reference",
+                fault.is_active()
+            );
         }
     }
 }

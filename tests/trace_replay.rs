@@ -5,6 +5,7 @@
 
 use ulp_kernels::{Benchmark, TargetEnv};
 use ulp_offload::HetSystemConfig;
+use ulp_serve::trace_replay::TraceError;
 use ulp_serve::{
     BatchPolicy, CostBook, Fleet, FleetConfig, ServeConfig, ServePool, ServeRequest, TenantLoad,
     TenantSpec, TraceRecorder, TraceReplayer, WorkloadSpec,
@@ -198,4 +199,40 @@ fn fleet_replay_ab_conserves_requests_under_both_shardings() {
         assert!(violations.is_empty(), "{groups} groups: {violations:?}");
         assert!(report.completed() > 0);
     }
+}
+
+/// Regression: hostile record counts (reachable from `het-sim
+/// --replay-trace FILE`) fail with a typed error instead of panicking or
+/// reserving more than the input holds. A JSON header promising
+/// `u64::MAX` records used to overflow `Vec::with_capacity`; a binary
+/// count of `u64::MAX / 28 + 1` used to wrap the body-size arithmetic.
+#[test]
+fn hostile_record_counts_are_typed_errors() {
+    let mut recorder = TraceRecorder::new();
+    for (id, benchmark) in Benchmark::ALL.into_iter().take(3).enumerate() {
+        recorder.record(&ServeRequest {
+            id: id as u64,
+            tenant: 0,
+            benchmark,
+            iterations: 1,
+            class: ulp_serve::DeadlineClass::ALL[0],
+            arrival_ns: 1_000 * id as u64,
+        });
+    }
+
+    let json = recorder.encode_json();
+    let hostile = json.replacen("\"count\":3", "\"count\":18446744073709551615", 1);
+    assert_ne!(hostile, json, "the header must carry the count");
+    match TraceReplayer::decode(hostile.as_bytes()) {
+        Err(TraceError::Json(msg)) => assert!(msg.contains("promises"), "{msg}"),
+        other => panic!("expected a JSON count error, got {other:?}"),
+    }
+
+    let mut binary = recorder.encode();
+    let wrapping = u64::MAX / 28 + 1;
+    binary[8..16].copy_from_slice(&wrapping.to_le_bytes());
+    assert_eq!(
+        TraceReplayer::decode(&binary).unwrap_err(),
+        TraceError::Truncated
+    );
 }
