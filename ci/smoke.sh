@@ -101,6 +101,13 @@ grep -q 'soak      : hot kernel cnn' "$ARTIFACTS/soak.out"
 grep -q 'chaos (seed' "$ARTIFACTS/soak.out"
 grep -q 'SLO ledger (tenant x class: finished/missed):' "$ARTIFACTS/soak.out"
 grep -q 'invariants: OK' "$ARTIFACTS/soak.out"
+# The same chaos under global-FIFO dispatch (`--no-fair`), which no
+# study golden covers; het-sim exits non-zero on any invariant violation.
+cargo run --release -q -p ulp-tools --bin het-sim -- \
+  --soak --no-fair --benchmark cnn --pool 4 --duration-ms 400 \
+  --drop-rate 0.01 --hang-rate 0.005 --burst-factor 50 | tee "$ARTIFACTS/soak-fifo.out"
+grep -q 'dispatch, FIFO' "$ARTIFACTS/soak-fifo.out"
+grep -q 'invariants: OK' "$ARTIFACTS/soak-fifo.out"
 cargo run --release -q -p ulp-bench --bin soak -- \
   --json "$SCRATCH/BENCH_soak.json" > "$SCRATCH/soak_table.txt"
 golden soak_table tests/golden/soak_table.txt "$SCRATCH/soak_table.txt"

@@ -21,8 +21,8 @@
 use ulp_kernels::{Benchmark, TargetEnv};
 use ulp_offload::HetSystemConfig;
 use ulp_serve::{
-    fmt_ms, invariants, render_scale_log, AdmissionPricing, AutoscalePolicy, BatchPolicy, Burst,
-    CostBook, Fleet, FleetConfig, FleetReport, ServeConfig, TenantLoad, TenantSpec, WorkloadSpec,
+    fmt_ms, invariants, render_scale_log, AutoscalePolicy, BatchPolicy, Burst, CostBook, Fleet,
+    FleetConfig, FleetReport, ServeConfig, TenantLoad, TenantSpec, WorkloadSpec,
 };
 
 /// Workload seed (the study's identity).
@@ -126,7 +126,7 @@ pub fn serve_config(spec: &CellSpec) -> ServeConfig {
             cooldown_ns: COOLDOWN_NS,
             ..AutoscalePolicy::new(spec.min_per_group(), spec.max_per_group)
         }),
-        admission: AdmissionPricing::enabled(),
+        admission_pricing: true,
         ..ServeConfig::default()
     }
 }
@@ -417,6 +417,6 @@ mod tests {
         assert_eq!(cfg.pool, spec.min_per_group());
         let policy = cfg.autoscale.expect("study cells autoscale");
         assert_eq!(policy.max_workers, spec.max_per_group);
-        assert!(cfg.admission.enabled);
+        assert!(cfg.admission_pricing);
     }
 }

@@ -348,7 +348,7 @@ pub fn run_power_study() -> PowerStudy {
     let (tenants, book, workload) = serve_inputs(&cfg);
     let requests = workload.generate();
 
-    let run = |power: PowerPolicy| -> ServeReport {
+    let run = |power: Option<PowerPolicy>| -> ServeReport {
         let serve_cfg = ServeConfig {
             pool: SERVE_POOL,
             policy: BatchPolicy::KernelAware { max_batch: 8 },
@@ -359,15 +359,14 @@ pub fn run_power_study() -> PowerStudy {
             .run(&requests)
             .expect("serving run")
     };
-    let off = run(PowerPolicy::default());
-    let policy = PowerPolicy::with_budget(BUDGET_W);
-    let on = run(policy);
+    let off = run(None);
+    let on = run(Some(PowerPolicy { budget_w: BUDGET_W }));
 
     PowerStudy {
         budget_w: BUDGET_W,
         off: ServeFigures::from_report(&off),
         on: ServeFigures::from_report(&on),
-        ladder: policy.ladder(cfg.pulp_vdd),
+        ladder: PowerPolicy::ladder(cfg.pulp_vdd),
         residency_ns: on.op_residency_ns.clone(),
         transitions: on.power_events.len(),
     }

@@ -10,21 +10,24 @@
 //! watches:
 //!
 //! * **queue pressure** — admitted requests waiting per active worker.
-//!   Growth past [`AutoscalePolicy::up_queue_per_worker`] adds workers;
-//!   decay to [`AutoscalePolicy::down_queue_per_worker`] (a strictly
+//!   Growth past [`AutoscalePolicy::UP_QUEUE_PER_WORKER`] adds workers;
+//!   decay to [`AutoscalePolicy::DOWN_QUEUE_PER_WORKER`] (a strictly
 //!   lower threshold — the hysteresis band) releases them.
 //! * **tail latency** — the p99 of completions inside the decision
-//!   window. Blowing [`AutoscalePolicy::p99_target_ns`] scales up even
+//!   window. Blowing [`AutoscalePolicy::P99_TARGET_NS`] scales up even
 //!   when queues look shallow (slow batches, not deep backlogs).
 //!
 //! Every action starts a cooldown during which further actions are
 //! suppressed, so one burst cannot thrash the worker count at the
 //! decision frequency.
 
-use crate::metrics::fmt_ms;
+use ulp_trace::{Component, EventKind, Tracer};
 
-/// Scaling policy of one pool: bounds, decision cadence, hysteresis
-/// thresholds, and cooldown. All times are virtual nanoseconds.
+use crate::metrics::{fmt_ms, percentile_ns};
+
+/// Scaling policy of one pool: worker bounds, cooldown, and step. The
+/// decision cadence and thresholds are the associated constants. All
+/// times are virtual nanoseconds.
 #[derive(Clone, Copy, Debug)]
 pub struct AutoscalePolicy {
     /// Fewest workers the pool may shrink to (≥ 1).
@@ -32,30 +35,29 @@ pub struct AutoscalePolicy {
     /// Most workers the pool may grow to; the pool allocates this many
     /// up front and gates dispatch to the active prefix.
     pub max_workers: usize,
-    /// Virtual time between decision points.
-    pub interval_ns: u64,
     /// Virtual time after an action during which further actions are
     /// suppressed.
     pub cooldown_ns: u64,
-    /// Scale up when queued requests per active worker reach this.
-    pub up_queue_per_worker: u32,
-    /// Scale down only when queued requests per active worker are at or
-    /// below this. Must sit strictly below the up threshold, or the pool
-    /// oscillates every interval.
-    pub down_queue_per_worker: u32,
-    /// Scale up when the decision window's completion p99 exceeds this;
-    /// scaling down additionally requires the window p99 under half of
-    /// it. 0 disables the latency signal.
-    pub p99_target_ns: u64,
     /// Workers added or released per action (≥ 1).
     pub step: usize,
 }
 
 impl AutoscalePolicy {
-    /// A policy scaling between `min_workers` and `max_workers` with the
-    /// default cadence: decisions every 25 ms of virtual time, 50 ms
-    /// cooldown, up at 4 queued per worker, down at 1, p99 target at the
-    /// standard-class deadline (250 ms), step an eighth of the range.
+    /// Virtual time between decision points: 25 ms.
+    pub const INTERVAL_NS: u64 = 25_000_000;
+    /// Scale up when queued requests per active worker reach this.
+    pub const UP_QUEUE_PER_WORKER: usize = 4;
+    /// Scale down only when queued requests per active worker are at or
+    /// below this — strictly below the up threshold, or the pool would
+    /// oscillate every interval.
+    pub const DOWN_QUEUE_PER_WORKER: usize = 1;
+    /// Scale up when the decision window's completion p99 exceeds this
+    /// (the standard-class deadline, 250 ms); scaling down additionally
+    /// requires the window p99 under half of it.
+    pub const P99_TARGET_NS: u64 = 250_000_000;
+
+    /// A policy scaling between `min_workers` and `max_workers` with a
+    /// 50 ms cooldown and a step of an eighth of the range.
     #[must_use]
     pub fn new(min_workers: usize, max_workers: usize) -> Self {
         let min_workers = min_workers.max(1);
@@ -63,11 +65,7 @@ impl AutoscalePolicy {
         AutoscalePolicy {
             min_workers,
             max_workers,
-            interval_ns: 25_000_000,
             cooldown_ns: 50_000_000,
-            up_queue_per_worker: 4,
-            down_queue_per_worker: 1,
-            p99_target_ns: 250_000_000,
             step: ((max_workers - min_workers) / 8).max(1),
         }
     }
@@ -87,21 +85,113 @@ impl AutoscalePolicy {
     pub fn decide(&self, active: usize, depth: usize, window_p99_ns: u64) -> ScaleDecision {
         let up = self.clamp(active + self.step);
         if up > active {
-            if depth >= active * self.up_queue_per_worker as usize {
+            if depth >= active * Self::UP_QUEUE_PER_WORKER {
                 return ScaleDecision::Scale(up, ScaleReason::QueueDepth);
             }
-            if self.p99_target_ns > 0 && window_p99_ns > self.p99_target_ns {
+            if window_p99_ns > Self::P99_TARGET_NS {
                 return ScaleDecision::Scale(up, ScaleReason::LatencySlo);
             }
         }
         let down = self.clamp(active.saturating_sub(self.step));
         if down < active
-            && depth <= active * self.down_queue_per_worker as usize
-            && (self.p99_target_ns == 0 || window_p99_ns < self.p99_target_ns / 2)
+            && depth <= active * Self::DOWN_QUEUE_PER_WORKER
+            && window_p99_ns < Self::P99_TARGET_NS / 2
         {
             return ScaleDecision::Scale(down, ScaleReason::Idle);
         }
         ScaleDecision::Hold
+    }
+}
+
+/// The autoscaler's state over one run. Without a policy every worker
+/// stays active and nothing is recorded.
+pub(crate) struct Scaler {
+    policy: Option<AutoscalePolicy>,
+    active: usize,
+    next_ns: Option<u64>,
+    cooldown_until: u64,
+    /// Completion latencies since the previous decision.
+    window: Vec<u64>,
+    /// The decision log.
+    pub(crate) events: Vec<ScaleEvent>,
+    /// Active-capacity integral `Σ active × Δt` (0 without a policy).
+    pub(crate) capacity_ns: u64,
+}
+
+impl Scaler {
+    /// A scaler over `workers` allocated workers, `pool` of them active
+    /// at the start when a policy is set.
+    pub(crate) fn new(policy: Option<AutoscalePolicy>, pool: usize, workers: usize) -> Self {
+        Scaler {
+            policy,
+            active: policy.map_or(workers, |p| p.clamp(pool)),
+            next_ns: policy.map(|_| AutoscalePolicy::INTERVAL_NS),
+            cooldown_until: 0,
+            window: Vec::new(),
+            events: Vec::new(),
+            capacity_ns: 0,
+        }
+    }
+
+    /// Workers `0..active` may take new batches; deactivated workers
+    /// drain whatever batch they already hold.
+    pub(crate) fn active(&self) -> usize {
+        self.active
+    }
+
+    /// The next decision instant, if any.
+    pub(crate) fn next_ns(&self) -> Option<u64> {
+        self.next_ns
+    }
+
+    /// Evaluates every decision due by `now` against the queued `depth`.
+    /// The window resets at each decision, whether or not it acts.
+    pub(crate) fn decide(&mut self, now: u64, depth: usize, tracer: &Tracer) {
+        let Some(policy) = self.policy else { return };
+        while let Some(at) = self.next_ns.filter(|&at| at <= now) {
+            self.window.sort_unstable();
+            let p99 = percentile_ns(&self.window, 99.0);
+            self.window.clear();
+            if at >= self.cooldown_until {
+                if let ScaleDecision::Scale(to, reason) = policy.decide(self.active, depth, p99) {
+                    self.events.push(ScaleEvent {
+                        at_ns: at,
+                        group: 0,
+                        from: self.active,
+                        to,
+                        queue_depth: depth,
+                        window_p99_ns: p99,
+                        reason,
+                    });
+                    tracer.emit(
+                        Component::Host,
+                        EventKind::Scale {
+                            from: self.active as u32,
+                            to: to as u32,
+                        },
+                        at,
+                        0,
+                    );
+                    self.active = to;
+                    self.cooldown_until = at + policy.cooldown_ns;
+                }
+            }
+            self.next_ns = Some(at + AutoscalePolicy::INTERVAL_NS);
+        }
+    }
+
+    /// Records one finished request's latency in the decision window.
+    pub(crate) fn observe(&mut self, latency_ns: u64) {
+        if self.policy.is_some() {
+            self.window.push(latency_ns);
+        }
+    }
+
+    /// Integrates active capacity over the clock step `from → to`.
+    pub(crate) fn advance(&mut self, from: u64, to: u64) {
+        if self.policy.is_some() {
+            self.capacity_ns += self.active as u64 * (to - from);
+        }
     }
 }
 
@@ -216,12 +306,6 @@ mod tests {
             p.decide(4, 8, 400_000_000),
             ScaleDecision::Scale(6, ScaleReason::LatencySlo)
         );
-        // Disabled latency signal never fires.
-        let quiet = AutoscalePolicy {
-            p99_target_ns: 0,
-            ..p
-        };
-        assert_eq!(quiet.decide(4, 8, u64::MAX), ScaleDecision::Hold);
     }
 
     #[test]

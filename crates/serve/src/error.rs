@@ -35,6 +35,15 @@ pub enum ServeError {
         /// Kernel whose host cost is missing.
         kernel: &'static str,
     },
+    /// A request stream broke (arrival, id) order: the record at `index`
+    /// arrives before its predecessor or does not carry a larger id. The
+    /// pool's per-class FIFO queues rely on that order.
+    Unordered {
+        /// Position of the offending record in the stream.
+        index: usize,
+        /// Its request id.
+        id: u64,
+    },
     /// Cost measurement failed while bringing the pool up.
     Measure(OffloadError),
 }
@@ -57,6 +66,9 @@ impl fmt::Display for ServeError {
                     "host fallback needs a host cost for `{kernel}`; build the book with \
                      CostBook::measure_with_host"
                 )
+            }
+            ServeError::Unordered { index, id } => {
+                write!(f, "request #{index} (id {id}) breaks (arrival, id) order")
             }
             ServeError::Measure(e) => write!(f, "cost measurement failed: {e}"),
         }
@@ -96,5 +108,7 @@ mod tests {
         assert!(ServeError::MissingHostCost { kernel: "hog" }
             .to_string()
             .contains("measure_with_host"));
+        let msg = ServeError::Unordered { index: 3, id: 41 }.to_string();
+        assert!(msg.contains("#3") && msg.contains("id 41"), "{msg}");
     }
 }

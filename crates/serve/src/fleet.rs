@@ -25,7 +25,7 @@ use crate::autoscale::ScaleEvent;
 use crate::error::ServeError;
 use crate::metrics::{LatencyStats, OutcomeKind, ServeReport};
 use crate::request::{ServeRequest, TenantSpec};
-use crate::server::{CostBook, ServeConfig, ServePool};
+use crate::server::{check_order, CostBook, ServeConfig, ServePool};
 
 /// Static configuration of a [`Fleet`].
 #[derive(Clone, Copy, Debug)]
@@ -249,10 +249,12 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownTenant`] when a request names a tenant
+    /// [`ServeError::Unordered`] when the stream is out of (arrival, id)
+    /// order, [`ServeError::UnknownTenant`] when a request names a tenant
     /// outside the fleet's table, or any error a group's
     /// [`ServePool::run`] reports for its slice.
     pub fn run(&self, requests: &[ServeRequest]) -> Result<FleetReport, ServeError> {
+        check_order(requests)?;
         for r in requests {
             if r.tenant >= self.tenants.len() {
                 return Err(ServeError::UnknownTenant {

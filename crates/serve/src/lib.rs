@@ -4,9 +4,10 @@
 //! at a time; the ROADMAP north star is a system serving heavy traffic
 //! from many concurrent users. This crate models that front-end:
 //!
-//! * **Admission control** — bounded per-tenant queues; arrivals past a
-//!   tenant's cap are rejected (backpressure) instead of growing an
-//!   unbounded backlog.
+//! * **Admission control** — bounded per-tenant queues, one FIFO per
+//!   deadline class, fed by streams in (arrival, id) order; arrivals
+//!   past a tenant's cap are rejected (backpressure) instead of growing
+//!   an unbounded backlog.
 //! * **Kernel-aware batching** — same-kernel requests coalesce into one
 //!   dispatch, so one program upload and one shared pipeline schedule
 //!   amortize across N payloads (see [`server`] for why that wins).
@@ -26,7 +27,8 @@
 //!   groups with rendezvous hashing ([`place_tenant`]), each group a
 //!   [`ServePool`] that a per-group autoscaler ([`autoscale`]) grows and
 //!   shrinks against queue depth and tail latency, with pressure-scaled
-//!   per-class admission pricing. Conservation is re-checked **across**
+//!   per-class admission pricing and an optional DVFS power governor
+//!   ([`power`]). Conservation is re-checked **across**
 //!   groups ([`invariants::check_fleet`]), and [`trace_replay`] records
 //!   any admitted request stream to a versioned format that replays
 //!   byte-identically through any scheduler configuration.
@@ -73,6 +75,7 @@ pub mod fleet;
 pub mod invariants;
 mod loadgen;
 mod metrics;
+pub mod power;
 mod request;
 pub mod server;
 pub mod soak;
@@ -87,8 +90,9 @@ pub use metrics::{
     fmt_ms, percentile_ns, LatencyStats, OutcomeKind, PowerEvent, RequestOutcome, ServeReport,
     SloCell, SloLedger, TenantReport,
 };
+pub use power::PowerPolicy;
 pub use request::{DeadlineClass, ServeRequest, TenantSpec};
-pub use server::{AdmissionPricing, BatchPolicy, CostBook, PowerPolicy, ServeConfig, ServePool};
+pub use server::{BatchPolicy, CostBook, ServeConfig, ServePool};
 pub use soak::{run_soak, SoakOutcome, SoakSpec};
 pub use trace_replay::{TraceRecorder, TraceReplayer};
 

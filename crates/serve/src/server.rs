@@ -14,6 +14,17 @@
 //! that advance exactly once per assessed frame, so a faulty run is just
 //! as replayable as a clean one.
 //!
+//! # Queues
+//!
+//! Each tenant holds one FIFO per deadline class. A stream arrives in
+//! (arrival, id) order — [`ServePool::run`] rejects any other — so every
+//! FIFO is in that order too, and the next request a discipline wants is
+//! always at a queue front: weighted-fair dispatch takes the first
+//! non-empty class front of the tenant with the least virtual time, FIFO
+//! dispatch the earliest front over all tenants. A batch then drains
+//! same-kernel requests from its leader's queues in class order and tops
+//! up from the other tenants.
+//!
 //! # Why batching wins
 //!
 //! A cold offload pays the program upload (text + rodata + constants)
@@ -25,7 +36,7 @@
 //! input stream under request k's compute — the two amortizations
 //! arXiv:2404.01908 and arXiv:2505.05911 identify.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ulp_kernels::{Benchmark, TargetEnv};
 use ulp_link::FaultInjector;
@@ -35,15 +46,15 @@ use ulp_offload::{
 use ulp_par::par_map;
 use ulp_trace::{Component, EventKind, Tracer};
 
-use crate::autoscale::{AutoscalePolicy, ScaleDecision, ScaleEvent};
+use crate::autoscale::{AutoscalePolicy, Scaler};
 use crate::chaos::{
     degrade, BatchFate, ChaosConfig, ChaosStats, DispatchJob, LinkTiming, Timeline,
 };
 use crate::error::ServeError;
 use crate::metrics::{
-    percentile_ns, LatencyStats, OutcomeKind, PowerEvent, RequestOutcome, ServeReport, SloLedger,
-    TenantReport,
+    LatencyStats, OutcomeKind, RequestOutcome, ServeReport, SloLedger, TenantReport,
 };
+use crate::power::{Governor, PowerPolicy};
 use crate::request::{ServeRequest, TenantSpec};
 
 /// One measured kernel of a [`CostBook`].
@@ -169,36 +180,14 @@ impl CostBook {
             .saturating_mul(iterations.max(1) as u64)
     }
 
-    /// Host-only cost of one iteration of a kernel, in nanoseconds.
-    /// Zero when the book was built without host measurements.
-    #[must_use]
-    pub fn host_est_ns(&self, b: Benchmark) -> u64 {
-        self.index_of(b).map_or(0, |i| self.entries[i].host_est_ns)
-    }
-
-    /// Kernels in the book, in measurement order.
-    #[must_use]
-    pub fn benchmarks(&self) -> Vec<Benchmark> {
-        self.entries.iter().map(|e| e.benchmark).collect()
-    }
-
     /// Position of a kernel in the book, or `None` if unmeasured.
     #[must_use]
     pub fn index_of(&self, b: Benchmark) -> Option<usize> {
         self.entries.iter().position(|e| e.benchmark == b)
     }
 
-    /// Position of a kernel, as a contextful error for soak harnesses.
-    fn try_index(&self, b: Benchmark) -> Result<usize, ServeError> {
-        self.index_of(b)
-            .ok_or(ServeError::UnknownKernel { kernel: b.name() })
-    }
-
     fn entry(&self, b: Benchmark) -> &BookEntry {
-        self.entries
-            .iter()
-            .find(|e| e.benchmark == b)
-            .expect("benchmark not in cost book")
+        &self.entries[self.index_of(b).expect("benchmark not in cost book")]
     }
 }
 
@@ -224,130 +213,6 @@ impl BatchPolicy {
     }
 }
 
-/// Pressure-scaled admission pricing per SLO class.
-///
-/// Queue-cap admission control is per tenant and class-blind; pricing
-/// adds a group-wide gate: each arrival is charged against the pool's
-/// current pressure (total queued depth relative to what the active
-/// workers can absorb), and a class is admitted only while pressure sits
-/// under its ceiling. Ceilings descend by class rank, so under load
-/// batch traffic is shed first, standard next, and interactive last —
-/// exactly the triage a fleet front-end applies before requests ever
-/// reach a node group. Disabled by default; a disabled config leaves
-/// every run byte-identical to a pool without it.
-#[derive(Clone, Copy, Debug)]
-pub struct AdmissionPricing {
-    /// Master switch; `false` bypasses pricing entirely.
-    pub enabled: bool,
-    /// Queued requests per active worker considered 100% pressure.
-    pub target_depth_per_worker: u32,
-    /// Admission ceiling per class rank (interactive, standard, batch)
-    /// in percent of target pressure: a class-`c` arrival is admitted
-    /// only while pressure is strictly below `ceiling_pct[c]`.
-    pub ceiling_pct: [u32; 3],
-}
-
-impl Default for AdmissionPricing {
-    fn default() -> Self {
-        AdmissionPricing {
-            enabled: false,
-            target_depth_per_worker: 32,
-            ceiling_pct: [100, 75, 50],
-        }
-    }
-}
-
-impl AdmissionPricing {
-    /// A pricing config with the default thresholds switched on.
-    #[must_use]
-    pub fn enabled() -> Self {
-        AdmissionPricing {
-            enabled: true,
-            ..AdmissionPricing::default()
-        }
-    }
-}
-
-/// The power-envelope governor: keep a pool under a joules-per-second
-/// (watt) budget by walking the accelerator's DVFS ladder instead of
-/// shedding load.
-///
-/// The pool prices every dispatch at its current operating point; at each
-/// decision instant the governor converts the energy dispatched over the
-/// last window into average watts and compares it with the budget. Over
-/// budget it steps *down* one rung (lower VDD, lower clock — service
-/// slows, queues grow, and the existing queue-cap/pricing admission
-/// machinery sheds load only once the slowest rung still overshoots);
-/// comfortably under budget (below `upscale_margin × budget_w`) it steps
-/// back up. Decisions fire at fixed virtual-time instants, so the event
-/// log is a pure function of the request stream.
-///
-/// Disabled (the default) the ladder has a single rung — the configured
-/// operating point — and every run is bit-identical to a pool without
-/// the governor.
-#[derive(Clone, Copy, Debug)]
-pub struct PowerPolicy {
-    /// Master switch; `false` bypasses the governor entirely.
-    pub enabled: bool,
-    /// Average-power budget over a decision window, watts.
-    pub budget_w: f64,
-    /// Decision cadence in virtual nanoseconds.
-    pub interval_ns: u64,
-    /// Lowest supply the ladder descends to (≥ 0.5 V, the power tables'
-    /// floor).
-    pub min_vdd: f64,
-    /// Supply step between rungs, volts.
-    pub step_vdd: f64,
-    /// Step back up when window power drops below this fraction of the
-    /// budget (hysteresis against rung flapping).
-    pub upscale_margin: f64,
-}
-
-impl Default for PowerPolicy {
-    fn default() -> Self {
-        PowerPolicy {
-            enabled: false,
-            budget_w: 5.0e-3,
-            interval_ns: 1_000_000,
-            min_vdd: 0.5,
-            step_vdd: 0.05,
-            upscale_margin: 0.7,
-        }
-    }
-}
-
-impl PowerPolicy {
-    /// A governor with the default ladder shape armed at `budget_w`.
-    #[must_use]
-    pub fn with_budget(budget_w: f64) -> Self {
-        PowerPolicy {
-            enabled: true,
-            budget_w,
-            ..PowerPolicy::default()
-        }
-    }
-
-    /// The descending supply ladder this policy spans from `start_vdd`:
-    /// rung 0 is the configured operating point, later rungs step down by
-    /// `step_vdd` to `min_vdd`. A disabled policy has the single
-    /// configured rung.
-    #[must_use]
-    pub fn ladder(&self, start_vdd: f64) -> Vec<f64> {
-        if !self.enabled {
-            return vec![start_vdd];
-        }
-        let mut rungs = vec![start_vdd];
-        let mut v = start_vdd - self.step_vdd;
-        // Tolerance absorbs the accumulated binary error of repeated
-        // decimal subtraction, so a 0.65 → 0.5 descent lands on 0.5.
-        while v >= self.min_vdd - 1e-9 {
-            rungs.push(v.max(self.min_vdd));
-            v -= self.step_vdd;
-        }
-        rungs
-    }
-}
-
 /// Static configuration of a [`ServePool`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -358,11 +223,27 @@ pub struct ServeConfig {
     /// Weighted fair scheduling across tenants; `false` degrades to
     /// global FIFO (the fairness regression's adversary).
     pub fair: bool,
-    /// Allow a batch started by one tenant to be topped up with other
-    /// tenants' same-kernel requests.
-    pub cross_tenant: bool,
     /// Pipeline configuration every dispatch runs under.
     pub pipeline: PipelineConfig,
+    /// Autoscaling policy. `None` (the default) pins the active worker
+    /// count at `pool`; `Some` allocates `max_workers` workers up front,
+    /// starts `pool` of them active, and lets the policy grow/shrink the
+    /// active prefix at its decision cadence.
+    pub autoscale: Option<AutoscalePolicy>,
+    /// Pressure-scaled per-class admission pricing (off by default).
+    /// Queue caps are per tenant and class-blind; pricing adds a
+    /// pool-wide gate: an arrival of class rank `c` is admitted only
+    /// while the queued depth, in percent of
+    /// [`Self::PRICING_DEPTH_PER_WORKER`] per active worker, sits below
+    /// [`Self::PRICING_CEILING_PCT`]`[c]`. Under load batch traffic is
+    /// shed first, standard next, interactive last.
+    pub admission_pricing: bool,
+    /// Power-envelope governor (`None`, the default, runs every dispatch
+    /// at the configured operating point).
+    pub power: Option<PowerPolicy>,
+}
+
+impl ServeConfig {
     /// Host cycles one dispatch transaction costs on top of the modeled
     /// offload: runtime entry, descriptor and map-list construction,
     /// completion interrupt, and response marshalling. The offload
@@ -370,18 +251,15 @@ pub struct ServeConfig {
     /// iteration; the serving front-end pays this full software path
     /// once per *dispatch*, which is exactly the overhead arXiv:2404.01908
     /// and arXiv:2505.05911 measure (10²–10⁴ host cycles per offload)
-    /// and amortize by batching. Default 8 000 cycles — 0.5 ms on the
-    /// 16 MHz STM32-L476.
-    pub dispatch_overhead_cycles: u64,
-    /// Autoscaling policy. `None` (the default) pins the active worker
-    /// count at `pool`; `Some` allocates `max_workers` workers up front,
-    /// starts `pool` of them active, and lets the policy grow/shrink the
-    /// active prefix at its decision cadence.
-    pub autoscale: Option<AutoscalePolicy>,
-    /// Pressure-scaled per-class admission pricing (off by default).
-    pub admission: AdmissionPricing,
-    /// Power-envelope governor (off by default).
-    pub power: PowerPolicy,
+    /// and amortize by batching. 8 000 cycles is 0.5 ms on the 16 MHz
+    /// STM32-L476.
+    pub const DISPATCH_OVERHEAD_CYCLES: u64 = 8_000;
+    /// Queued requests per active worker that admission pricing counts
+    /// as 100% pressure.
+    pub const PRICING_DEPTH_PER_WORKER: u64 = 32;
+    /// Admission-pricing ceiling per class rank (interactive, standard,
+    /// batch), in percent of target pressure.
+    pub const PRICING_CEILING_PCT: [u64; 3] = [100, 75, 50];
 }
 
 impl Default for ServeConfig {
@@ -390,12 +268,10 @@ impl Default for ServeConfig {
             pool: 1,
             policy: BatchPolicy::KernelAware { max_batch: 8 },
             fair: true,
-            cross_tenant: true,
             pipeline: PipelineConfig::enabled(),
-            dispatch_overhead_cycles: 8_000,
             autoscale: None,
-            admission: AdmissionPricing::default(),
-            power: PowerPolicy::default(),
+            admission_pricing: false,
+            power: None,
         }
     }
 }
@@ -404,21 +280,65 @@ impl Default for ServeConfig {
 /// only — batch pricing goes through the pool's single shared planner —
 /// so a 1024-worker fleet group costs vectors of three scalars, not a
 /// thousand cluster models.
+#[derive(Default)]
 struct Worker {
     resident: Option<Benchmark>,
     free_at_ns: u64,
     busy_ns: u64,
 }
 
+#[derive(Default)]
 struct TenantState {
-    spec: TenantSpec,
-    queue: Vec<ServeRequest>,
+    /// Admitted requests, one FIFO per deadline class in rank order,
+    /// each in stream order.
+    queues: [VecDeque<ServeRequest>; 3],
+    /// Total length of `queues`.
+    queued: usize,
     vtime: u64,
     latencies: Vec<u64>,
     rejected: u64,
     deadline_misses: u64,
     failed_over: u64,
     failed: u64,
+}
+
+impl TenantState {
+    /// Moves up to `room` queued `kernel` requests onto `batch`, class
+    /// by class in stream order, and charges their estimated serial cost
+    /// (`est_ns` per iteration, over the tenant's `weight`) to its
+    /// virtual time.
+    fn drain_into(
+        &mut self,
+        batch: &mut Vec<ServeRequest>,
+        kernel: Benchmark,
+        room: usize,
+        est_ns: u64,
+        weight: u32,
+        vnow: &mut u64,
+    ) {
+        let from = batch.len();
+        for q in &mut self.queues {
+            let mut i = 0;
+            while i < q.len() && batch.len() - from < room {
+                if q[i].benchmark == kernel {
+                    batch.push(q.remove(i).expect("index is in bounds"));
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        let taken = &batch[from..];
+        if taken.is_empty() {
+            return;
+        }
+        self.queued -= taken.len();
+        let charged: u64 = taken
+            .iter()
+            .map(|r| est_ns.saturating_mul(r.iterations.max(1) as u64))
+            .sum();
+        *vnow = (*vnow).max(self.vtime);
+        self.vtime += charged / u64::from(weight.max(1));
+    }
 }
 
 /// Healthy price of one dispatch shape, cached so a million-request soak
@@ -436,6 +356,37 @@ struct Price {
     energy_j: f64,
 }
 
+/// The outcome record of request `r` leaving the system at `done_ns`.
+fn outcome(r: &ServeRequest, done_ns: u64, kind: OutcomeKind) -> RequestOutcome {
+    RequestOutcome {
+        id: r.id,
+        tenant: r.tenant,
+        class: r.class,
+        benchmark: r.benchmark,
+        arrival_ns: r.arrival_ns,
+        done_ns,
+        kind,
+    }
+}
+
+/// Checks that a request stream is in (arrival, id) order with strictly
+/// increasing ids.
+///
+/// # Errors
+///
+/// [`ServeError::Unordered`] naming the first record that breaks it.
+pub(crate) fn check_order(requests: &[ServeRequest]) -> Result<(), ServeError> {
+    for (i, w) in requests.windows(2).enumerate() {
+        if w[1].arrival_ns < w[0].arrival_ns || w[1].id <= w[0].id {
+            return Err(ServeError::Unordered {
+                index: i + 1,
+                id: w[1].id,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// The multi-tenant serving front-end: a pool of simulated accelerator
 /// workers behind bounded per-tenant queues.
 ///
@@ -451,8 +402,8 @@ pub struct ServePool {
     workers: Vec<Worker>,
     /// Shared pure planners all batch pricing goes through, one per rung
     /// of the power governor's DVFS ladder (a single entry — the
-    /// configured operating point — when the governor is off). Workers
-    /// are identical, so one model per rung prices every dispatch shape.
+    /// configured operating point — without a governor). Workers are
+    /// identical, so one model per rung prices every dispatch shape.
     planners: Vec<HetSystem>,
     mcu_hz: f64,
     tracer: Tracer,
@@ -479,21 +430,15 @@ impl ServePool {
             .autoscale
             .map_or(cfg.pool, |p| p.max_workers.max(cfg.pool))
             .max(1);
-        let workers = (0..alloc)
-            .map(|_| Worker {
-                resident: None,
-                free_at_ns: 0,
-                busy_ns: 0,
-            })
-            .collect();
+        let vdd = sys_config.pulp_vdd;
         let planners = cfg
             .power
-            .ladder(sys_config.pulp_vdd)
+            .map_or_else(|| vec![vdd], |_| PowerPolicy::ladder(vdd))
             .into_iter()
-            .map(|vdd| {
+            .map(|rung_vdd| {
                 let mut rung = sys_config.clone();
-                rung.pulp_vdd = vdd;
-                rung.pulp_freq_hz = rung.power.fmax_hz(vdd).min(sys_config.pulp_freq_hz);
+                rung.pulp_vdd = rung_vdd;
+                rung.pulp_freq_hz = rung.power.fmax_hz(rung_vdd).min(sys_config.pulp_freq_hz);
                 HetSystem::new(rung)
             })
             .collect();
@@ -501,7 +446,7 @@ impl ServePool {
             cfg,
             book,
             tenants,
-            workers,
+            workers: (0..alloc).map(|_| Worker::default()).collect(),
             planners,
             mcu_hz: sys_config.mcu_freq_hz,
             tracer: Tracer::disabled(),
@@ -537,29 +482,25 @@ impl ServePool {
         self
     }
 
-    /// The cost book the pool schedules against.
-    #[must_use]
-    pub fn book(&self) -> &CostBook {
-        &self.book
-    }
-
-    /// Runs one request stream (sorted by arrival) to completion and
-    /// reports what happened. Worker state is reset first, so repeated
-    /// runs of the same stream produce identical reports.
+    /// Runs one request stream to completion and reports what happened.
+    /// Worker state is reset first, so repeated runs of the same stream
+    /// produce identical reports.
     ///
-    /// The stream is validated up front: every request must name a
-    /// tenant inside the tenant table and a kernel the cost book
-    /// measured, and — when fault injection could fail a batch over to
-    /// the host — every requested kernel must carry a host cost. A
-    /// misconfiguration is reported before any virtual time elapses, so
-    /// soak harnesses can attach the workload seed to the error.
+    /// The stream is validated up front: it must be sorted by arrival
+    /// with strictly increasing ids, every request must name a tenant
+    /// inside the tenant table and a kernel the cost book measured, and —
+    /// when fault injection could fail a batch over to the host — every
+    /// requested kernel must carry a host cost. A misconfiguration is
+    /// reported before any virtual time elapses, so soak harnesses can
+    /// attach the workload seed to the error.
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownTenant`], [`ServeError::UnknownKernel`], or
-    /// [`ServeError::MissingHostCost`] on a request stream the pool was
-    /// not configured for.
+    /// [`ServeError::Unordered`], [`ServeError::UnknownTenant`],
+    /// [`ServeError::UnknownKernel`], or [`ServeError::MissingHostCost`]
+    /// on a request stream the pool was not configured for.
     pub fn run(&mut self, requests: &[ServeRequest]) -> Result<ServeReport, ServeError> {
+        check_order(requests)?;
         let need_host = self.chaos.is_active() && self.chaos.fallback_to_host;
         for r in requests {
             if r.tenant >= self.tenants.len() {
@@ -568,41 +509,32 @@ impl ServePool {
                     tenants: self.tenants.len(),
                 });
             }
-            let bidx = self.book.try_index(r.benchmark)?;
+            let kernel = r.benchmark.name();
+            let bidx = self
+                .book
+                .index_of(r.benchmark)
+                .ok_or(ServeError::UnknownKernel { kernel })?;
             if need_host && self.book.entries[bidx].host_est_ns == 0 {
-                return Err(ServeError::MissingHostCost {
-                    kernel: r.benchmark.name(),
-                });
+                return Err(ServeError::MissingHostCost { kernel });
             }
         }
 
-        for w in &mut self.workers {
-            w.resident = None;
-            w.free_at_ns = 0;
-            w.busy_ns = 0;
-        }
-        let mut tenants: Vec<TenantState> = self
-            .tenants
-            .iter()
-            .map(|spec| TenantState {
-                spec: spec.clone(),
-                queue: Vec::new(),
-                vtime: 0,
-                latencies: Vec::new(),
-                rejected: 0,
-                deadline_misses: 0,
-                failed_over: 0,
-                failed: 0,
-            })
-            .collect();
+        self.workers.fill_with(Worker::default);
+        let mut tenants: Vec<TenantState> = Vec::new();
+        tenants.resize_with(self.tenants.len(), TenantState::default);
         let mut injectors: Vec<Option<FaultInjector>> = (0..self.workers.len())
             .map(|i| self.chaos.injector_for(i))
             .collect();
+        let mut scaler = Scaler::new(self.cfg.autoscale, self.cfg.pool, self.workers.len());
+        let mut governor = Governor::new(self.cfg.power, self.planners.len());
 
         let max_batch = self.cfg.policy.max_batch();
+        let mut batch: Vec<ServeRequest> = Vec::with_capacity(max_batch);
+        let mut order: Vec<usize> = Vec::with_capacity(tenants.len());
         let mut next_arrival = 0usize;
         let mut now = 0u64;
         let mut vnow = 0u64; // fairness floor for newly-backlogged tenants
+        let mut queued = 0usize;
         let mut batch_hist: Vec<u64> = Vec::new();
         let mut uploads = 0u64;
         let mut makespan = 0u64;
@@ -610,43 +542,13 @@ impl ServePool {
         let mut flush_idx = 0usize;
         let mut admitted = 0u64;
         let mut completed = 0u64;
+        let mut priced_out = 0u64;
+        // Tracked whatever the governor does: it adds a report field
+        // without perturbing any other figure.
+        let mut energy_joules = 0.0f64;
         let mut stats = ChaosStats::default();
         let mut ledger = SloLedger::new(tenants.len());
         let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(requests.len());
-
-        // Autoscaler state: `active` gates dispatch to the worker prefix
-        // `workers[..active]`; deactivated workers drain whatever batch
-        // they already hold. Decisions fire at fixed virtual-time
-        // instants, so the decision log is a pure function of the run.
-        let auto = self.cfg.autoscale;
-        let mut active = auto.map_or(self.workers.len(), |p| p.clamp(self.cfg.pool));
-        let mut next_decision = auto.map(|p| p.interval_ns);
-        let mut cooldown_until = 0u64;
-        let mut window_lat: Vec<u64> = Vec::new();
-        let mut scale_events: Vec<ScaleEvent> = Vec::new();
-        let mut capacity_ns = 0u64;
-        let mut priced_out = 0u64;
-
-        // Power-governor state: `op` indexes the planner ladder (0 = the
-        // configured operating point, deeper = lower VDD). Dispatch energy
-        // accrues into the decision window; each decision converts the
-        // window into average watts against the budget. Energy totals are
-        // tracked even with the governor off — they add report fields
-        // without perturbing any existing figure.
-        let power = self.cfg.power;
-        let rungs = self.planners.len();
-        let mut op = 0usize;
-        let mut next_power_decision = power.enabled.then_some(power.interval_ns);
-        let mut last_power_decision = 0u64;
-        // Each dispatch's energy is spread uniformly over its service
-        // interval as a (start, end, watts) segment; a decision window
-        // integrates the overlapping segments. Attributing the whole
-        // batch to its dispatch instant would make windows inside long
-        // low-rung batches read zero watts and flap the governor up.
-        let mut power_segments: Vec<(u64, u64, f64)> = Vec::new();
-        let mut energy_joules = 0.0f64;
-        let mut op_residency_ns = vec![0u64; if power.enabled { rungs } else { 0 }];
-        let mut power_events: Vec<PowerEvent> = Vec::new();
 
         loop {
             // Apply residency-churn flushes that have come due: every
@@ -661,133 +563,48 @@ impl ServePool {
                 }
             }
 
-            // Evaluate autoscaling decisions that have come due. The
-            // decision window's p99 covers completions recorded since the
-            // previous decision; the window resets whether or not an
-            // action fires, so each decision sees fresh evidence.
-            if let Some(policy) = auto {
-                while let Some(nd) = next_decision.filter(|&nd| nd <= now) {
-                    let depth: usize = tenants.iter().map(|t| t.queue.len()).sum();
-                    let mut window = std::mem::take(&mut window_lat);
-                    window.sort_unstable();
-                    let p99 = percentile_ns(&window, 99.0);
-                    if nd >= cooldown_until {
-                        if let ScaleDecision::Scale(to, reason) = policy.decide(active, depth, p99)
-                        {
-                            scale_events.push(ScaleEvent {
-                                at_ns: nd,
-                                group: 0,
-                                from: active,
-                                to,
-                                queue_depth: depth,
-                                window_p99_ns: p99,
-                                reason,
-                            });
-                            self.tracer.emit(
-                                Component::Host,
-                                EventKind::Scale {
-                                    from: active as u32,
-                                    to: to as u32,
-                                },
-                                nd,
-                                0,
-                            );
-                            active = to;
-                            cooldown_until = nd + policy.cooldown_ns;
-                        }
-                    }
-                    next_decision = Some(nd + policy.interval_ns);
-                }
-            }
-
-            // Evaluate power-governor decisions that have come due. The
-            // window's energy is everything dispatched since the last
-            // decision; it resets whether or not the rung moves.
-            if power.enabled {
-                while let Some(nd) = next_power_decision.filter(|&nd| nd <= now) {
-                    let window_ns = nd - last_power_decision;
-                    let window_energy_j: f64 = power_segments
-                        .iter()
-                        .map(|&(start, end, watts)| {
-                            let lo = start.max(last_power_decision);
-                            let hi = end.min(nd);
-                            watts * (hi.saturating_sub(lo) as f64 * 1e-9)
-                        })
-                        .sum();
-                    power_segments.retain(|&(_, end, _)| end > nd);
-                    let window_w = if window_ns > 0 {
-                        window_energy_j / (window_ns as f64 * 1e-9)
-                    } else {
-                        0.0
-                    };
-                    let to = if window_w > power.budget_w {
-                        (op + 1).min(rungs - 1)
-                    } else if window_w < power.upscale_margin * power.budget_w {
-                        op.saturating_sub(1)
-                    } else {
-                        op
-                    };
-                    if to != op {
-                        power_events.push(PowerEvent {
-                            at_ns: nd,
-                            from_op: op,
-                            to_op: to,
-                            window_w,
-                        });
-                        op = to;
-                    }
-                    last_power_decision = nd;
-                    next_power_decision = Some(nd + power.interval_ns);
-                }
-            }
+            scaler.decide(now, queued, &self.tracer);
+            governor.decide(now);
 
             // Admit everything that has arrived by `now`.
             while next_arrival < requests.len() && requests[next_arrival].arrival_ns <= now {
                 let r = requests[next_arrival];
                 next_arrival += 1;
-                let priced = self.cfg.admission.enabled && {
-                    let depth: usize = tenants.iter().map(|t| t.queue.len()).sum();
-                    let target = (active as u64
-                        * u64::from(self.cfg.admission.target_depth_per_worker))
-                    .max(1);
-                    let pressure_pct = depth as u64 * 100 / target;
-                    pressure_pct
-                        >= u64::from(self.cfg.admission.ceiling_pct[r.class.rank() as usize])
+                let class = r.class.rank() as usize;
+                let priced = self.cfg.admission_pricing && {
+                    let target =
+                        (scaler.active() as u64 * ServeConfig::PRICING_DEPTH_PER_WORKER).max(1);
+                    queued as u64 * 100 / target >= ServeConfig::PRICING_CEILING_PCT[class]
                 };
                 let t = &mut tenants[r.tenant];
-                if priced || t.queue.len() >= t.spec.queue_cap {
+                if priced || t.queued >= self.tenants[r.tenant].queue_cap {
                     priced_out += u64::from(priced);
                     t.rejected += 1;
-                    let o = RequestOutcome {
-                        id: r.id,
-                        tenant: r.tenant,
-                        class: r.class,
-                        benchmark: r.benchmark,
-                        arrival_ns: r.arrival_ns,
-                        done_ns: r.arrival_ns,
-                        kind: OutcomeKind::Rejected,
-                    };
+                    let o = outcome(&r, r.arrival_ns, OutcomeKind::Rejected);
                     ledger.post(&o);
                     outcomes.push(o);
                     continue;
                 }
                 admitted += 1;
-                if t.queue.is_empty() {
+                if t.queued == 0 {
                     // A tenant returning from idle starts at the current
                     // fairness floor instead of spending banked credit.
                     t.vtime = t.vtime.max(vnow);
                 }
-                t.queue.push(r);
+                t.queues[class].push_back(r);
+                t.queued += 1;
+                queued += 1;
             }
-            max_depth = max_depth.max(tenants.iter().map(|t| t.queue.len()).sum());
+            max_depth = max_depth.max(queued);
 
             // Dispatch while an active worker is idle and work is queued.
-            while tenants.iter().any(|t| !t.queue.is_empty()) {
-                let Some(widx) = self.idle_worker(&tenants, now, active) else {
+            while let Some(head) = self.head(&tenants) {
+                let kernel = head.benchmark;
+                let Some(widx) = self.idle_worker(kernel, now, scaler.active()) else {
                     // Stalled purely by the timeline (an otherwise-idle
                     // worker exists but is blacked out)? Count it — the
                     // scheduler will wake at the blackout's end.
-                    if self.workers[..active]
+                    if self.workers[..scaler.active()]
                         .iter()
                         .enumerate()
                         .any(|(i, w)| w.free_at_ns <= now && self.timeline.blacked_out(i, now))
@@ -796,12 +613,31 @@ impl ServePool {
                     }
                     break;
                 };
-                let batch = self.take_batch(&mut tenants, &mut vnow, max_batch);
-                let kernel = batch[0].benchmark;
-                let bidx = self.book.try_index(kernel)?;
+                let bidx = self.book.index_of(kernel).expect("stream validated");
+                let est_ns = self.book.entries[bidx].est_ns;
+                // The head's tenant leads its own batch; the others top it
+                // up in the discipline's order.
+                order.clear();
+                order.extend(
+                    (0..tenants.len()).filter(|&i| i != head.tenant && tenants[i].queued > 0),
+                );
+                if self.cfg.fair {
+                    order.sort_by_key(|&i| (tenants[i].vtime, i));
+                }
+                batch.clear();
+                for &i in std::iter::once(&head.tenant).chain(&order) {
+                    let room = max_batch - batch.len();
+                    if room == 0 {
+                        break;
+                    }
+                    let weight = self.tenants[i].weight;
+                    tenants[i].drain_into(&mut batch, kernel, room, est_ns, weight, &mut vnow);
+                }
+                queued -= batch.len();
+
                 let ship = self.workers[widx].resident != Some(kernel);
                 let iterations: usize = batch.iter().map(|r| r.iterations.max(1)).sum();
-                let price = self.price(op, bidx, iterations, ship);
+                let price = self.price(governor.rung(), bidx, iterations, ship);
                 energy_joules += price.energy_j;
 
                 let (service_ns, fate) = match injectors[widx].as_mut() {
@@ -836,19 +672,12 @@ impl ServePool {
                 w.busy_ns += service_ns;
                 uploads += u64::from(ship && fate == BatchFate::Served);
                 makespan = makespan.max(w.free_at_ns);
-                if power.enabled && service_ns > 0 {
-                    power_segments.push((
-                        now,
-                        now + service_ns,
-                        price.energy_j / (service_ns as f64 * 1e-9),
-                    ));
-                }
+                governor.observe(now, service_ns, price.energy_j);
 
                 if batch_hist.len() < batch.len() {
                     batch_hist.resize(batch.len(), 0);
                 }
                 batch_hist[batch.len() - 1] += 1;
-                let depth: usize = tenants.iter().map(|t| t.queue.len()).sum();
                 self.tracer.emit(
                     Component::Worker(widx as u8),
                     EventKind::Batch {
@@ -860,7 +689,7 @@ impl ServePool {
                 self.tracer.emit(
                     Component::Worker(widx as u8),
                     EventKind::QueueDepth {
-                        depth: depth as u32,
+                        depth: queued as u32,
                     },
                     now,
                     0,
@@ -874,33 +703,20 @@ impl ServePool {
                 };
                 for r in &batch {
                     let t = &mut tenants[r.tenant];
-                    match fate {
-                        BatchFate::Served | BatchFate::FailedOver => {
-                            let latency = done - r.arrival_ns;
-                            t.latencies.push(latency);
-                            if auto.is_some() {
-                                window_lat.push(latency);
-                            }
-                            if latency > r.class.deadline_ns() {
-                                t.deadline_misses += 1;
-                            }
-                            if fate == BatchFate::FailedOver {
-                                t.failed_over += 1;
-                            } else {
-                                completed += 1;
-                            }
+                    if fate == BatchFate::Failed {
+                        t.failed += 1;
+                    } else {
+                        let latency = done - r.arrival_ns;
+                        t.latencies.push(latency);
+                        scaler.observe(latency);
+                        t.deadline_misses += u64::from(latency > r.class.deadline_ns());
+                        if fate == BatchFate::FailedOver {
+                            t.failed_over += 1;
+                        } else {
+                            completed += 1;
                         }
-                        BatchFate::Failed => t.failed += 1,
                     }
-                    let o = RequestOutcome {
-                        id: r.id,
-                        tenant: r.tenant,
-                        class: r.class,
-                        benchmark: r.benchmark,
-                        arrival_ns: r.arrival_ns,
-                        done_ns: done,
-                        kind,
-                    };
+                    let o = outcome(r, done, kind);
                     ledger.post(&o);
                     outcomes.push(o);
                 }
@@ -916,55 +732,33 @@ impl ServePool {
 
             // Advance the virtual clock to the next event. A scheduler
             // stalled by blackouts with work still queued must wake when
-            // the earliest blackout lifts, or requests would strand.
-            let queued = tenants.iter().any(|t| !t.queue.is_empty());
-            let next_t = [
+            // the earliest blackout lifts, or requests would strand. A
+            // pending policy decision wakes the scheduler early, but never
+            // keeps a drained run alive: with no other event left the run
+            // ends and so does every policy.
+            let next_event = [
                 (next_arrival < requests.len()).then(|| requests[next_arrival].arrival_ns),
                 self.workers
                     .iter()
                     .filter(|w| w.free_at_ns > now)
                     .map(|w| w.free_at_ns)
                     .min(),
-                if queued {
-                    self.timeline.next_blackout_end(now)
-                } else {
-                    None
-                },
+                self.timeline.next_blackout_end(now).filter(|_| queued > 0),
             ]
             .into_iter()
             .flatten()
             .min();
-            match next_t {
-                Some(t) => {
-                    // A pending autoscale or power decision wakes the
-                    // scheduler early, but never keeps a drained run
-                    // alive: with no other event left the run ends and so
-                    // does scaling.
-                    let t = match next_decision {
-                        Some(nd) if nd < t => nd,
-                        _ => t,
-                    };
-                    let t = match next_power_decision {
-                        Some(nd) if nd < t => nd,
-                        _ => t,
-                    };
-                    if auto.is_some() {
-                        capacity_ns += active as u64 * (t - now);
-                    }
-                    if power.enabled {
-                        op_residency_ns[op] += t - now;
-                    }
-                    now = t;
-                }
-                None => break, // no arrivals, no busy workers: drained
-            }
+            let Some(t) = next_event else { break };
+            let t = [scaler.next_ns(), governor.next_ns()]
+                .into_iter()
+                .flatten()
+                .fold(t, u64::min);
+            scaler.advance(now, t);
+            governor.advance(now, t);
+            now = t;
         }
 
-        let stranded: u64 = tenants.iter().map(|t| t.queue.len() as u64).sum();
-        let mut all: Vec<u64> = Vec::new();
-        for t in &tenants {
-            all.extend_from_slice(&t.latencies);
-        }
+        let all: Vec<u64> = tenants.iter().flat_map(|t| &t.latencies).copied().collect();
         for (i, w) in self.workers.iter().enumerate() {
             self.tracer
                 .set_counter(Component::Worker(i as u8), w.busy_ns, makespan);
@@ -978,15 +772,16 @@ impl ServePool {
             rejected: tenants.iter().map(|t| t.rejected).sum(),
             failed_over: tenants.iter().map(|t| t.failed_over).sum(),
             failed: tenants.iter().map(|t| t.failed).sum(),
-            stranded,
+            stranded: queued as u64,
             deadline_misses: tenants.iter().map(|t| t.deadline_misses).sum(),
             makespan_ns: makespan,
             latency: LatencyStats::of(&all),
             tenants: tenants
                 .iter()
-                .map(|t| TenantReport {
-                    name: t.spec.name.clone(),
-                    weight: t.spec.weight,
+                .zip(&self.tenants)
+                .map(|(t, spec)| TenantReport {
+                    name: spec.name.clone(),
+                    weight: spec.weight,
                     latency: LatencyStats::of(&t.latencies),
                     rejected: t.rejected,
                     deadline_misses: t.deadline_misses,
@@ -1001,27 +796,49 @@ impl ServePool {
             chaos: stats,
             slo: ledger,
             outcomes,
-            scale_events,
-            capacity_ns,
+            scale_events: scaler.events,
+            capacity_ns: scaler.capacity_ns,
             priced_out,
             energy_joules,
-            op_residency_ns,
-            power_events,
+            op_residency_ns: governor.residency_ns,
+            power_events: governor.events,
         })
     }
 
+    /// The request the next batch is built around: under weighted
+    /// fairness the first class front of the tenant with the least
+    /// virtual time (lowest index on ties), under FIFO the earliest
+    /// front over all tenants. `None` when nothing is queued.
+    fn head(&self, tenants: &[TenantState]) -> Option<ServeRequest> {
+        if self.cfg.fair {
+            tenants
+                .iter()
+                .filter(|t| t.queued > 0)
+                .min_by_key(|t| t.vtime)?
+                .queues
+                .iter()
+                .find_map(VecDeque::front)
+                .copied()
+        } else {
+            tenants
+                .iter()
+                .flat_map(|t| t.queues.iter().filter_map(VecDeque::front))
+                .min_by_key(|r| (r.arrival_ns, r.id))
+                .copied()
+        }
+    }
+
     /// Picks an idle, non-blacked-out worker from the active prefix,
-    /// preferring one whose resident kernel will match the next dispatch
-    /// (lowest index wins ties for determinism). `None` when every
-    /// active worker is busy or out.
-    fn idle_worker(&self, tenants: &[TenantState], now: u64, active: usize) -> Option<usize> {
-        let head = self.head_request(tenants)?;
+    /// preferring one that already holds `kernel` (lowest index wins
+    /// ties for determinism). `None` when every active worker is busy or
+    /// out.
+    fn idle_worker(&self, kernel: Benchmark, now: u64, active: usize) -> Option<usize> {
         let mut first_idle = None;
         for (i, w) in self.workers[..active].iter().enumerate() {
             if w.free_at_ns > now || self.timeline.blacked_out(i, now) {
                 continue;
             }
-            if w.resident == Some(head.benchmark) {
+            if w.resident == Some(kernel) {
                 return Some(i);
             }
             if first_idle.is_none() {
@@ -1029,91 +846,6 @@ impl ServePool {
             }
         }
         first_idle
-    }
-
-    /// The request the next batch will be built around, under the
-    /// configured discipline.
-    fn head_request(&self, tenants: &[TenantState]) -> Option<ServeRequest> {
-        if self.cfg.fair {
-            let t = tenants
-                .iter()
-                .filter(|t| !t.queue.is_empty())
-                .min_by_key(|t| t.vtime)?;
-            t.queue
-                .iter()
-                .min_by_key(|r| (r.class.rank(), r.arrival_ns, r.id))
-                .copied()
-        } else {
-            tenants
-                .iter()
-                .flat_map(|t| t.queue.iter())
-                .min_by_key(|r| (r.arrival_ns, r.id))
-                .copied()
-        }
-    }
-
-    /// Removes the next batch from the queues: the head request's
-    /// kernel, topped up with same-kernel requests (same tenant first,
-    /// then — if allowed — other tenants in fairness order). Charges
-    /// every request's estimated serial cost to its tenant's virtual
-    /// time.
-    fn take_batch(
-        &self,
-        tenants: &mut [TenantState],
-        vnow: &mut u64,
-        max_batch: usize,
-    ) -> Vec<ServeRequest> {
-        let head = self.head_request(tenants).expect("queues not empty");
-        let kernel = head.benchmark;
-        let mut batch: Vec<ServeRequest> = Vec::with_capacity(max_batch);
-
-        let mut tenant_order: Vec<usize> = (0..tenants.len()).collect();
-        if self.cfg.fair {
-            tenant_order.sort_by_key(|&i| (tenants[i].vtime, i));
-        }
-        // The head's tenant always leads its own batch.
-        tenant_order.retain(|&i| i != head.tenant);
-        tenant_order.insert(0, head.tenant);
-
-        for ti in tenant_order {
-            if batch.len() >= max_batch {
-                break;
-            }
-            if ti != head.tenant && !self.cfg.cross_tenant {
-                break;
-            }
-            let t = &mut tenants[ti];
-            let mut candidates: Vec<(u8, u64, u64)> = t
-                .queue
-                .iter()
-                .filter(|r| r.benchmark == kernel)
-                .map(|r| (r.class.rank(), r.arrival_ns, r.id))
-                .collect();
-            candidates.sort_unstable();
-            candidates.truncate(max_batch - batch.len());
-            let mut picks: Vec<u64> = candidates.into_iter().map(|(_, _, id)| id).collect();
-            picks.sort_unstable();
-            if picks.is_empty() {
-                continue;
-            }
-            let mut charged = 0u64;
-            let mut taken: Vec<ServeRequest> = Vec::with_capacity(picks.len());
-            t.queue.retain(|r| {
-                if picks.binary_search(&r.id).is_ok() {
-                    charged += self.book.est_ns(r.benchmark, r.iterations);
-                    taken.push(*r);
-                    false
-                } else {
-                    true
-                }
-            });
-            *vnow = (*vnow).max(t.vtime);
-            t.vtime += charged / u64::from(t.spec.weight.max(1));
-            taken.sort_by_key(|r| (r.class.rank(), r.arrival_ns, r.id));
-            batch.extend(taken);
-        }
-        assert!(!batch.is_empty(), "head request must be batched");
-        batch
     }
 
     /// Healthy price of a batch on one worker, via the pure queue
@@ -1138,7 +870,7 @@ impl ServePool {
         };
         let planner = &self.planners[op];
         let plan = planner.plan_queue(&[job], self.cfg.pipeline);
-        let overhead_s = self.cfg.dispatch_overhead_cycles as f64 / self.mcu_hz;
+        let overhead_s = ServeConfig::DISPATCH_OVERHEAD_CYCLES as f64 / self.mcu_hz;
         let overhead_w = planner.config().mcu.run_power_w(self.mcu_hz);
         let price = Price {
             base_ns: (plan.total_seconds * 1e9 + (overhead_s * 1e9).round()).round() as u64,
@@ -1476,7 +1208,6 @@ mod tests {
     fn autoscaler_grows_under_pressure_and_releases_when_quiet() {
         let book = book();
         let policy = AutoscalePolicy {
-            interval_ns: 20_000_000,
             cooldown_ns: 40_000_000,
             ..AutoscalePolicy::new(1, 6)
         };
@@ -1557,7 +1288,7 @@ mod tests {
             book,
             ServeConfig {
                 pool: 1,
-                admission: AdmissionPricing::enabled(),
+                admission_pricing: true,
                 ..ServeConfig::default()
             },
         );
@@ -1573,7 +1304,7 @@ mod tests {
         );
     }
 
-    fn power_pool(power: PowerPolicy) -> ServePool {
+    fn power_pool(power: Option<PowerPolicy>) -> ServePool {
         ServePool::new(
             &HetSystemConfig::default(),
             vec![TenantSpec::new("t")],
@@ -1587,21 +1318,9 @@ mod tests {
     }
 
     #[test]
-    fn ladder_descends_from_the_configured_point_to_the_floor() {
-        let p = PowerPolicy::with_budget(5.0e-3);
-        let rungs = p.ladder(0.65);
-        assert_eq!(rungs.len(), 4);
-        assert!((rungs[0] - 0.65).abs() < 1e-12);
-        assert!((rungs[1] - 0.60).abs() < 1e-12);
-        assert!((rungs[2] - 0.55).abs() < 1e-12);
-        assert_eq!(rungs[3], 0.5);
-        assert_eq!(PowerPolicy::default().ladder(0.65), vec![0.65]);
-    }
-
-    #[test]
     fn disabled_governor_reports_energy_but_no_ladder_state() {
         let reqs = workload(11, 400.0);
-        let r = power_pool(PowerPolicy::default()).run(&reqs).unwrap();
+        let r = power_pool(None).run(&reqs).unwrap();
         assert!(r.energy_joules > 0.0, "energy must be accounted even off");
         assert!(r.op_residency_ns.is_empty());
         assert!(r.power_events.is_empty());
@@ -1611,7 +1330,7 @@ mod tests {
     #[test]
     fn generous_budget_never_leaves_the_top_rung() {
         let reqs = workload(11, 400.0);
-        let r = power_pool(PowerPolicy::with_budget(1.0))
+        let r = power_pool(Some(PowerPolicy { budget_w: 1.0 }))
             .run(&reqs)
             .unwrap();
         assert!(r.power_events.is_empty(), "1 W is never exceeded");
@@ -1619,7 +1338,7 @@ mod tests {
         assert_eq!(r.op_residency_ns[1..], [0, 0, 0]);
         // Service times are untouched, so the off/on reports agree on
         // every scheduling figure.
-        let off = power_pool(PowerPolicy::default()).run(&reqs).unwrap();
+        let off = power_pool(None).run(&reqs).unwrap();
         assert_eq!(r.completed, off.completed);
         assert_eq!(r.makespan_ns, off.makespan_ns);
         assert_eq!(r.batch_hist, off.batch_hist);
@@ -1631,8 +1350,8 @@ mod tests {
         // Saturating load so the pool dispatches back-to-back; the tight
         // budget must walk down the ladder and hold the low rungs.
         let reqs = workload(13, 2_000.0);
-        let off = power_pool(PowerPolicy::default()).run(&reqs).unwrap();
-        let on = power_pool(PowerPolicy::with_budget(2.0e-4))
+        let off = power_pool(None).run(&reqs).unwrap();
+        let on = power_pool(Some(PowerPolicy { budget_w: 2.0e-4 }))
             .run(&reqs)
             .unwrap();
         assert!(!on.power_events.is_empty(), "budget must force rung moves");
@@ -1662,7 +1381,7 @@ mod tests {
     #[test]
     fn governor_runs_are_repeatable() {
         let reqs = workload(17, 1_500.0);
-        let mut p = power_pool(PowerPolicy::with_budget(3.0e-4));
+        let mut p = power_pool(Some(PowerPolicy { budget_w: 3.0e-4 }));
         let a = p.run(&reqs).unwrap();
         let b = p.run(&reqs).unwrap();
         assert_eq!(a.power_events, b.power_events);

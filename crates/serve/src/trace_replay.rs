@@ -61,10 +61,10 @@ pub enum TraceError {
     BadVersion(u16),
     /// The record bytes do not hash to the stored checksum.
     BadChecksum,
-    /// A kernel index outside [`Benchmark::ALL`].
-    BadKernel(u8),
-    /// A class rank outside [`DeadlineClass::ALL`].
-    BadClass(u8),
+    /// A kernel index outside [`Benchmark::ALL`], as written.
+    BadKernel(u64),
+    /// A class rank outside [`DeadlineClass::ALL`], as written.
+    BadClass(u64),
     /// A malformed JSON trace (message names the offending line).
     Json(String),
 }
@@ -248,17 +248,13 @@ impl TraceReplayer {
         }
         let mut requests = Vec::with_capacity(count);
         for rec in bytes[HEADER_BYTES..body_end].chunks_exact(RECORD_BYTES) {
-            let kernel = rec[24];
-            let class = rec[25];
             requests.push(ServeRequest {
                 id: u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")),
                 arrival_ns: u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes")),
                 tenant: u32::from_le_bytes(rec[16..20].try_into().expect("4 bytes")) as usize,
                 iterations: u32::from_le_bytes(rec[20..24].try_into().expect("4 bytes")) as usize,
-                benchmark: *Benchmark::ALL
-                    .get(kernel as usize)
-                    .ok_or(TraceError::BadKernel(kernel))?,
-                class: decode_class(class)?,
+                benchmark: decode_kernel(u64::from(rec[24]))?,
+                class: decode_class(u64::from(rec[25]))?,
             });
         }
         Ok(TraceReplayer { requests })
@@ -285,17 +281,12 @@ impl TraceReplayer {
         // not what the header promises.
         let mut requests = Vec::with_capacity(lines.clone().count());
         for line in lines.filter(|l| !l.trim().is_empty()) {
-            let kernel = json_u64(line, "kernel")?;
-            let class = json_u64(line, "class")?;
-            if kernel >= Benchmark::ALL.len() as u64 {
-                return Err(TraceError::BadKernel(kernel as u8));
-            }
             requests.push(ServeRequest {
                 id: json_u64(line, "id")?,
                 tenant: json_u64(line, "tenant")? as usize,
-                benchmark: Benchmark::ALL[kernel as usize],
+                benchmark: decode_kernel(json_u64(line, "kernel")?)?,
                 iterations: json_u64(line, "iterations")? as usize,
-                class: decode_class(class as u8)?,
+                class: decode_class(json_u64(line, "class")?)?,
                 arrival_ns: json_u64(line, "arrival_ns")?,
             });
         }
@@ -324,11 +315,19 @@ impl TraceReplayer {
     }
 }
 
-fn decode_class(rank: u8) -> Result<DeadlineClass, TraceError> {
+/// The kernel at a wire index, range-checked before any narrowing.
+fn decode_kernel(index: u64) -> Result<Benchmark, TraceError> {
+    usize::try_from(index)
+        .ok()
+        .and_then(|i| Benchmark::ALL.get(i).copied())
+        .ok_or(TraceError::BadKernel(index))
+}
+
+/// The class of a wire rank, compared without narrowing.
+fn decode_class(rank: u64) -> Result<DeadlineClass, TraceError> {
     DeadlineClass::ALL
-        .iter()
-        .copied()
-        .find(|c| c.rank() == rank)
+        .into_iter()
+        .find(|c| u64::from(c.rank()) == rank)
         .ok_or(TraceError::BadClass(rank))
 }
 

@@ -373,7 +373,7 @@ fn run_serve(
     use ulp_kernels::Benchmark;
     use ulp_serve::{
         fmt_ms, BatchPolicy, Blackout, Burst, ChaosConfig, CostBook, FaultProfile, PowerPolicy,
-        ServeConfig, ServePool, SoakSpec, TenantLoad, TenantSpec, WorkloadSpec,
+        ServePool, SoakSpec, TenantLoad, TenantSpec, WorkloadSpec,
     };
 
     let mode = if soak { "--soak" } else { "--serve" };
@@ -385,13 +385,11 @@ fn run_serve(
         ));
     }
 
-    let pool = args.get_usize("pool", 2)?.max(1);
-    let max_batch = args.get_usize("max-batch", 8)?.max(1);
+    let serve_cfg = pool_config(args)?;
+    let pool = serve_cfg.pool;
     let seed = args.get_usize("serve-seed", 42)? as u64;
     let duration_ms = args.get_usize("duration-ms", 1000)?.max(1);
     let n_tenants = args.get_usize("tenants", 2)?.max(1);
-    let serial = args.has("serial");
-    let fair = !args.has("no-fair");
 
     // The single-offload fault knobs translate directly into a uniform
     // per-worker chaos profile on the pool's virtual clock.
@@ -431,15 +429,7 @@ fn run_serve(
         CostBook::measure(&env, cfg, &Benchmark::ALL)
     }
     .map_err(|e| format!("cost book: {e}"))?;
-    let mix: Vec<(Benchmark, f64)> = Benchmark::ALL
-        .iter()
-        .map(|&b| (b, if b == hot { 9.0 } else { 1.0 }))
-        .collect();
-    let mix_total: f64 = mix.iter().map(|(_, w)| *w).sum();
-    let mean_ns: f64 = mix
-        .iter()
-        .map(|&(b, w)| book.est_ns(b, 1) as f64 * w / mix_total)
-        .sum();
+    let (mix, mean_ns) = hot_mix(hot, &book);
     // Offered load sized to keep the pool saturated, split evenly.
     let rate = 1.5 * pool as f64 * 1e9 / mean_ns;
 
@@ -472,27 +462,6 @@ fn run_serve(
                 iterations: 1,
             })
             .collect(),
-    };
-    let policy = if serial {
-        BatchPolicy::Serial
-    } else {
-        BatchPolicy::KernelAware { max_batch }
-    };
-    // `--power-budget MW` arms the DVFS governor: the pool steps the
-    // cluster supply down the operating-point ladder whenever the sliding
-    // platform-power window exceeds the budget, and back up when there is
-    // headroom, degrading service speed before shedding load.
-    let power = if args.has("power-budget") {
-        PowerPolicy::with_budget(args.get_f64("power-budget", 5.0)? * 1e-3)
-    } else {
-        PowerPolicy::default()
-    };
-    let serve_cfg = ServeConfig {
-        pool,
-        policy,
-        fair,
-        power,
-        ..ServeConfig::default()
     };
 
     let duration_ns = duration_ms as u64 * 1_000_000;
@@ -538,12 +507,15 @@ fn run_serve(
         "{}     : hot kernel {}, pool {pool}, {} dispatch{}, {} tenants, seed {seed}",
         if soak { "soak " } else { "serve" },
         hot.name(),
-        if serial {
-            "serial".to_owned()
-        } else {
-            format!("batched (max {max_batch})")
+        match serve_cfg.policy {
+            BatchPolicy::Serial => "serial".to_owned(),
+            BatchPolicy::KernelAware { max_batch } => format!("batched (max {max_batch})"),
         },
-        if fair { ", weighted-fair" } else { ", FIFO" },
+        if serve_cfg.fair {
+            ", weighted-fair"
+        } else {
+            ", FIFO"
+        },
         n_tenants,
     );
     println!(
@@ -589,9 +561,8 @@ fn run_serve(
         report.energy_joules * 1e3,
         report.joules_per_request() * 1e6
     );
-    if power.enabled {
-        let residency: Vec<String> = power
-            .ladder(cfg.pulp_vdd)
+    if let Some(power) = serve_cfg.power {
+        let residency: Vec<String> = PowerPolicy::ladder(cfg.pulp_vdd)
             .iter()
             .zip(report.op_residency_ns.iter())
             .map(|(vdd, &ns)| format!("{vdd:.2} V {} ms", fmt_ms(ns)))
@@ -704,9 +675,8 @@ fn run_fleet(
 ) -> Result<(), String> {
     use ulp_kernels::Benchmark;
     use ulp_serve::{
-        fmt_ms, render_scale_log, AdmissionPricing, AutoscalePolicy, BatchPolicy, CostBook, Fleet,
-        FleetConfig, PowerPolicy, ServeConfig, TenantLoad, TenantSpec, TraceRecorder,
-        TraceReplayer, WorkloadSpec,
+        fmt_ms, render_scale_log, AutoscalePolicy, CostBook, Fleet, FleetConfig, ServeConfig,
+        TenantLoad, TenantSpec, TraceRecorder, TraceReplayer, WorkloadSpec,
     };
 
     if cfg.fault.is_active() {
@@ -718,9 +688,9 @@ fn run_fleet(
     }
 
     let groups = args.get_usize("groups", 2)?.max(1);
-    let pool = args.get_usize("pool", 2)?.max(1);
+    let base_cfg = pool_config(args)?;
+    let pool = base_cfg.pool;
     let max_pool = args.get_usize("max-pool", pool * 4)?.max(pool);
-    let max_batch = args.get_usize("max-batch", 8)?.max(1);
     let seed = args.get_usize("serve-seed", 42)? as u64;
     let duration_ms = args.get_usize("duration-ms", 1000)?.max(1);
     let n_tenants = args.get_usize("tenants", groups * 4)?.max(1);
@@ -760,15 +730,7 @@ fn run_fleet(
         );
         replay.into_requests()
     } else {
-        let mix: Vec<(Benchmark, f64)> = Benchmark::ALL
-            .iter()
-            .map(|&b| (b, if b == hot { 9.0 } else { 1.0 }))
-            .collect();
-        let mix_total: f64 = mix.iter().map(|(_, w)| *w).sum();
-        let mean_ns: f64 = mix
-            .iter()
-            .map(|&(b, w)| book.est_ns(b, 1) as f64 * w / mix_total)
-            .sum();
+        let (mix, mean_ns) = hot_mix(hot, &book);
         // Offered load sized against the configured per-group floor.
         let rate = 1.5 * (groups * pool) as f64 * 1e9 / mean_ns;
         let workload = WorkloadSpec {
@@ -806,27 +768,9 @@ fn run_fleet(
     }
 
     let serve_cfg = ServeConfig {
-        pool,
-        policy: if args.has("serial") {
-            BatchPolicy::Serial
-        } else {
-            BatchPolicy::KernelAware { max_batch }
-        },
-        fair: !args.has("no-fair"),
         autoscale: autoscale.then(|| AutoscalePolicy::new(pool, max_pool)),
-        admission: if autoscale {
-            AdmissionPricing::enabled()
-        } else {
-            AdmissionPricing::default()
-        },
-        power: if args.has("power-budget") {
-            // Per group: each node group runs its own governor against
-            // the same per-cluster envelope.
-            PowerPolicy::with_budget(args.get_f64("power-budget", 5.0)? * 1e-3)
-        } else {
-            PowerPolicy::default()
-        },
-        ..ServeConfig::default()
+        admission_pricing: autoscale,
+        ..base_cfg
     };
     let fleet = Fleet::new(
         cfg,
@@ -874,7 +818,7 @@ fn run_fleet(
     println!(
         "energy    : {:.3} mJ across {groups} groups{}",
         fleet_energy * 1e3,
-        if args.has("power-budget") {
+        if serve_cfg.power.is_some() {
             let transitions: usize = report
                 .groups
                 .iter()
@@ -926,6 +870,53 @@ fn run_fleet(
             violations.len()
         ))
     }
+}
+
+/// The pool flags `--serve`, `--soak` and `--fleet` share: `--pool`,
+/// `--max-batch`, `--serial`, `--no-fair`, and `--power-budget MW`. The
+/// budget arms the DVFS governor: the pool steps the cluster supply down
+/// the operating-point ladder whenever a window's platform power exceeds
+/// the budget, and back up when there is headroom, degrading service
+/// speed before shedding load. In a fleet each node group runs its own
+/// governor against the same per-cluster envelope.
+fn pool_config(args: &Args) -> Result<ulp_serve::ServeConfig, String> {
+    use ulp_serve::{BatchPolicy, PowerPolicy, ServeConfig};
+    let max_batch = args.get_usize("max-batch", 8)?.max(1);
+    Ok(ServeConfig {
+        pool: args.get_usize("pool", 2)?.max(1),
+        policy: if args.has("serial") {
+            BatchPolicy::Serial
+        } else {
+            BatchPolicy::KernelAware { max_batch }
+        },
+        fair: !args.has("no-fair"),
+        power: if args.has("power-budget") {
+            Some(PowerPolicy {
+                budget_w: args.get_f64("power-budget", 5.0)? * 1e-3,
+            })
+        } else {
+            None
+        },
+        ..ServeConfig::default()
+    })
+}
+
+/// The `--serve`/`--fleet` kernel mix — `hot` at weight 9, every other
+/// paper kernel at 1 — and its mean serialized one-iteration cost, ns.
+fn hot_mix(
+    hot: ulp_kernels::Benchmark,
+    book: &ulp_serve::CostBook,
+) -> (Vec<(ulp_kernels::Benchmark, f64)>, f64) {
+    let mix: Vec<_> = ulp_kernels::Benchmark::ALL
+        .iter()
+        .map(|&b| (b, if b == hot { 9.0 } else { 1.0 }))
+        .collect();
+    let mix_total: f64 = mix.iter().map(|(_, w)| *w).sum();
+    let mean_ns = mix
+        .iter()
+        .map(|&(b, w)| book.est_ns(b, 1) as f64 * w / mix_total)
+        .sum();
+    (mix, mean_ns)
 }
 
 /// Probes a `--trace` output path up front, before any simulation runs: a

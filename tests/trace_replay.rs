@@ -7,8 +7,8 @@ use ulp_kernels::{Benchmark, TargetEnv};
 use ulp_offload::HetSystemConfig;
 use ulp_serve::trace_replay::TraceError;
 use ulp_serve::{
-    BatchPolicy, CostBook, Fleet, FleetConfig, ServeConfig, ServePool, ServeRequest, TenantLoad,
-    TenantSpec, TraceRecorder, TraceReplayer, WorkloadSpec,
+    BatchPolicy, CostBook, DeadlineClass, Fleet, FleetConfig, ServeConfig, ServeError, ServePool,
+    ServeRequest, TenantLoad, TenantSpec, TraceRecorder, TraceReplayer, WorkloadSpec,
 };
 
 fn book(config: &HetSystemConfig) -> CostBook {
@@ -235,4 +235,100 @@ fn hostile_record_counts_are_typed_errors() {
         TraceReplayer::decode(&binary).unwrap_err(),
         TraceError::Truncated
     );
+}
+
+/// Regression: the JSON decoder range-checks kernel and class values as
+/// written instead of narrowing them to a byte first — `"class":257`
+/// used to decode as `Standard`, and kernel 256 was reported as 0.
+#[test]
+fn json_kernel_and_class_are_range_checked_before_narrowing() {
+    let mut recorder = TraceRecorder::new();
+    recorder.record(&ServeRequest {
+        id: 0,
+        tenant: 0,
+        benchmark: Benchmark::MatMul,
+        iterations: 1,
+        class: DeadlineClass::Interactive,
+        arrival_ns: 0,
+    });
+    let json = recorder.encode_json();
+    for (field, wide, expected) in [
+        ("\"kernel\":0", "\"kernel\":256", TraceError::BadKernel(256)),
+        ("\"class\":0", "\"class\":257", TraceError::BadClass(257)),
+    ] {
+        let hostile = json.replacen(field, wide, 1);
+        assert_ne!(hostile, json, "the record must carry {field}");
+        assert_eq!(
+            TraceReplayer::decode(hostile.as_bytes()).unwrap_err(),
+            expected
+        );
+    }
+}
+
+/// Regression: a replayed stream that repeats an id or steps back in
+/// time is rejected by both schedulers with the offending record named.
+/// Fed ids 0 (matmul), 1 (matmul), 1 (cnn), a serial pool used to
+/// dispatch one 2-request batch mixing both kernels, priced as matmul.
+#[test]
+fn out_of_order_streams_are_rejected_not_served() {
+    let config = HetSystemConfig::default();
+    let kernels = [Benchmark::MatMul, Benchmark::Cnn];
+    let book =
+        CostBook::measure(&TargetEnv::pulp_parallel(), &config, &kernels).expect("cost book");
+    let tenants = vec![TenantSpec::new("t")];
+    let request = |id: u64, benchmark: Benchmark, arrival_ns: u64| ServeRequest {
+        id,
+        tenant: 0,
+        benchmark,
+        iterations: 1,
+        class: DeadlineClass::Standard,
+        arrival_ns,
+    };
+    let serial = ServeConfig {
+        pool: 1,
+        policy: BatchPolicy::Serial,
+        ..ServeConfig::default()
+    };
+    let cases = [
+        (
+            vec![
+                request(0, Benchmark::MatMul, 0),
+                request(1, Benchmark::MatMul, 0),
+                request(1, Benchmark::Cnn, 0),
+            ],
+            2,
+            1,
+        ),
+        (
+            vec![
+                request(0, Benchmark::MatMul, 1_000),
+                request(1, Benchmark::Cnn, 500),
+            ],
+            1,
+            1,
+        ),
+    ];
+    for (stream, index, id) in cases {
+        let mut recorder = TraceRecorder::new();
+        recorder.record_all(&stream);
+        let replay = TraceReplayer::decode(&recorder.encode()).expect("decode passes it through");
+        let mut pool = ServePool::new(&config, tenants.clone(), book.clone(), serial);
+        match pool.run(replay.requests()) {
+            Err(ServeError::Unordered { index: i, id: d }) if (i, d) == (index, id) => {}
+            other => panic!("pool: expected Unordered at #{index} (id {id}), got {other:?}"),
+        }
+        let fleet = Fleet::new(
+            &config,
+            tenants.clone(),
+            book.clone(),
+            FleetConfig {
+                groups: 1,
+                serve: serial,
+            },
+        );
+        match fleet.run(replay.requests()) {
+            Err(ServeError::Unordered { index: i, id: d }) if (i, d) == (index, id) => {}
+            other => panic!("fleet: expected Unordered at #{index} (id {id}), got {other:?}"),
+        }
+    }
 }
