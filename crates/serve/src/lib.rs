@@ -76,6 +76,7 @@ pub mod invariants;
 mod loadgen;
 mod metrics;
 pub mod power;
+mod pricing;
 mod request;
 pub mod server;
 pub mod soak;
@@ -91,8 +92,9 @@ pub use metrics::{
     SloCell, SloLedger, TenantReport,
 };
 pub use power::PowerPolicy;
+pub use pricing::CostBook;
 pub use request::{DeadlineClass, ServeRequest, TenantSpec};
-pub use server::{BatchPolicy, CostBook, ServeConfig, ServePool};
+pub use server::{BatchPolicy, ServeConfig, ServePool};
 pub use soak::{run_soak, SoakOutcome, SoakSpec};
 pub use trace_replay::{TraceRecorder, TraceReplayer};
 

@@ -15,8 +15,9 @@ use crate::chaos::{Blackout, ChaosConfig, Timeline};
 use crate::invariants::check;
 use crate::loadgen::{Burst, WorkloadSpec};
 use crate::metrics::ServeReport;
+use crate::pricing::CostBook;
 use crate::request::TenantSpec;
-use crate::server::{CostBook, ServeConfig, ServePool};
+use crate::server::{ServeConfig, ServePool};
 
 /// Everything one soak run needs: the seeded workload, the scripted
 /// disruption phases, the fault injection, and the pool shape.
