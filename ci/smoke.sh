@@ -135,6 +135,24 @@ grep -q 'invariants: OK' "$ARTIFACTS/fleet-replay.out"
 # Re-recording the replayed stream must reproduce the trace exactly.
 cmp "$SCRATCH/fleet.trc" "$SCRATCH/fleet-replayed.trc"
 echo "replay ok : trace round trip byte-identical"
+# A hostile record (4294967295 iterations) must earn the pool's typed
+# error and exit status 1 — not a clean run (0), a panic (101) or an
+# allocation abort (134).
+printf '%s\n%s\n' '{"schema":"ulp-serve-trace-v1","count":1}' \
+  '{"id":0,"tenant":0,"kernel":0,"kernel_name":"matmul","class":0,"arrival_ns":0,"iterations":4294967295}' \
+  > "$SCRATCH/hostile.json"
+status=0
+cargo run --release -q -p ulp-tools --bin het-sim -- \
+  --fleet --benchmark matmul --replay-trace "$SCRATCH/hostile.json" \
+  > "$ARTIFACTS/fleet-hostile.out" 2> "$ARTIFACTS/fleet-hostile.err" || status=$?
+cat "$ARTIFACTS/fleet-hostile.err"
+if [ "$status" -ne 1 ]; then
+  echo "hostile trace: het-sim exited $status, want 1" >&2
+  exit 1
+fi
+grep -q 'asks for 4294967295 iterations; a request may ask for at most 1024' \
+  "$ARTIFACTS/fleet-hostile.err"
+echo "hostile ok: 4294967295-iteration record rejected with a typed error"
 cargo run --release -q -p ulp-bench --bin fleet -- \
   --json "$SCRATCH/BENCH_fleet.json" \
   --scale-log "$SCRATCH/fleet_autoscale.txt" > "$SCRATCH/fleet_table.txt"

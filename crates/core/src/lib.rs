@@ -64,7 +64,7 @@ pub use platform::{cluster_env, config_at_vdd, config_from_platform, host_env};
 pub use queue::{OffloadQueue, QueueReport};
 pub use region::{MapClause, MapDir, TargetRegion};
 pub use system::{
-    HetSystem, HetSystemConfig, HostReport, LinkClocking, OffloadCost, OffloadError,
+    HetSystem, HetSystemConfig, HostReport, JobPrice, LinkClocking, OffloadCost, OffloadError,
     OffloadOptions, OffloadPolicy, OffloadReport, PlannedJob, ResilienceStats,
 };
 // Re-exported so offload users can configure fault injection without

@@ -44,6 +44,18 @@ pub enum ServeError {
         /// Its request id.
         id: u64,
     },
+    /// A request asked for more kernel iterations than
+    /// [`ServeConfig::MAX_REQUEST_ITERATIONS`](crate::ServeConfig::MAX_REQUEST_ITERATIONS)
+    /// allows — pricing and the fault model would otherwise do work
+    /// proportional to an untrusted count.
+    TooManyIterations {
+        /// Position of the offending record in the stream.
+        index: usize,
+        /// Its request id.
+        id: u64,
+        /// The iteration count it asked for.
+        iterations: usize,
+    },
     /// Cost measurement failed while bringing the pool up.
     Measure(OffloadError),
 }
@@ -70,6 +82,16 @@ impl fmt::Display for ServeError {
             ServeError::Unordered { index, id } => {
                 write!(f, "request #{index} (id {id}) breaks (arrival, id) order")
             }
+            ServeError::TooManyIterations {
+                index,
+                id,
+                iterations,
+            } => write!(
+                f,
+                "request #{index} (id {id}) asks for {iterations} iterations; a request may \
+                 ask for at most {}",
+                crate::ServeConfig::MAX_REQUEST_ITERATIONS
+            ),
             ServeError::Measure(e) => write!(f, "cost measurement failed: {e}"),
         }
     }
@@ -110,5 +132,18 @@ mod tests {
             .contains("measure_with_host"));
         let msg = ServeError::Unordered { index: 3, id: 41 }.to_string();
         assert!(msg.contains("#3") && msg.contains("id 41"), "{msg}");
+        let msg = ServeError::TooManyIterations {
+            index: 5,
+            id: 42,
+            iterations: 4_294_967_295,
+        }
+        .to_string();
+        assert!(
+            msg.contains("#5")
+                && msg.contains("id 42")
+                && msg.contains("4294967295 iterations")
+                && msg.contains("at most 1024"),
+            "{msg}"
+        );
     }
 }

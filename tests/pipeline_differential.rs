@@ -6,9 +6,13 @@
 //! offloads (cluster simulation, real link bytes) rides along: the
 //! runtime verifies every output buffer against the golden reference, so
 //! a passing offload **is** the bit-identical-results proof.
+//!
+//! The dispatch price (`HetSystem::price_job`) rides along too: on every
+//! battery draw and on a deterministic sweep of the serving layer's
+//! dispatch shapes it must equal the one-job `plan_queue` bit for bit.
 
 use het_accel::prelude::*;
-use ulp_offload::{LinkClocking, OffloadCost};
+use ulp_offload::{LinkClocking, OffloadCost, PlannedJob};
 use ulp_rng::XorShiftRng;
 
 /// Kernels the battery samples from: three matmul sizes plus two
@@ -107,6 +111,43 @@ fn assert_phases_bit_identical(s: &OffloadReport, p: &OffloadReport, ctx: &str) 
     assert_eq!(s.cycles_warm, p.cycles_warm, "{ctx}");
 }
 
+/// `price_job` reports exactly what a one-job `plan_queue` does: the
+/// queue total, the job's compute seconds and its total energy.
+fn assert_price_is_the_plan(
+    sys: &HetSystem,
+    cost: &OffloadCost,
+    opts: &OffloadOptions,
+    ship_binary: bool,
+    ctx: &str,
+) {
+    let job = PlannedJob {
+        cost,
+        opts: *opts,
+        ship_binary,
+    };
+    let plan = sys.plan_queue(&[job], opts.pipeline);
+    let price = sys.price_job(&job, opts.pipeline);
+    for (name, a, b) in [
+        ("total_seconds", plan.total_seconds, price.total_seconds),
+        (
+            "compute_seconds",
+            plan.reports[0].compute_seconds,
+            price.compute_seconds,
+        ),
+        (
+            "energy_joules",
+            plan.reports[0].total_energy_joules(),
+            price.energy_joules,
+        ),
+    ] {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{ctx}: price_job {name} drifted from plan_queue ({a} vs {b})"
+        );
+    }
+}
+
 /// Seed of the prediction battery stream.
 const BATTERY_SEED: u64 = 0x00D1_FFE6;
 
@@ -183,6 +224,11 @@ fn pipelined_predictions_differ_only_in_overlap_across_1200_configs() {
                 p.overlap == p2.overlap,
                 "{ctx}: overlap counters nondeterministic"
             );
+
+            // The dispatch price is the one-job queue plan, bit for bit.
+            for opts in [&opts_s, &opts_p] {
+                assert_price_is_the_plan(&sys, cost, opts, include_binary, &ctx);
+            }
         });
         if p.overlap.engaged {
             engaged += 1;
@@ -194,6 +240,49 @@ fn pipelined_predictions_differ_only_in_overlap_across_1200_configs() {
         engaged * 4 > cases,
         "engine engaged in only {engaged}/{cases} configs"
     );
+}
+
+/// The serving layer's dispatch shapes, past the battery's 8 iterations:
+/// every Table I kernel, fused iterations 1..=64, binary shipped or
+/// resident, default pipeline, default platform. Then every option flag
+/// `plan_queue` honours (legacy double buffering, sensor-direct inputs,
+/// a host task) with the pipeline on and off, so `price_job` is pinned
+/// on every job shape `plan_queue` takes.
+#[test]
+fn price_job_equals_plan_queue_over_table1_kernels_and_64_iterations() {
+    let env = TargetEnv::pulp_parallel();
+    let mut sys = HetSystem::new(HetSystemConfig::default());
+    for b in Benchmark::ALL {
+        let cost = sys
+            .measure_cost(&b.build(&env))
+            .unwrap_or_else(|e| panic!("{b}: {e}"));
+        for iterations in 1..=64 {
+            for ship in [true, false] {
+                let opts = OffloadOptions {
+                    iterations,
+                    pipeline: PipelineConfig::enabled(),
+                    ..OffloadOptions::default()
+                };
+                let ctx = format!("{b} x{iterations} ship={ship}");
+                assert_price_is_the_plan(&sys, &cost, &opts, ship, &ctx);
+            }
+        }
+        for flags in 0..16u32 {
+            let opts = OffloadOptions {
+                iterations: 5,
+                double_buffer: flags & 1 != 0,
+                sensor_direct: flags & 2 != 0,
+                host_task: flags & 4 != 0,
+                pipeline: PipelineConfig {
+                    enabled: flags & 8 != 0,
+                    ..PipelineConfig::default()
+                },
+                ..OffloadOptions::default()
+            };
+            let ctx = format!("{b} flags={flags:#06b}");
+            assert_price_is_the_plan(&sys, &cost, &opts, true, &ctx);
+        }
+    }
 }
 
 /// The whole battery replays bit-identically from its seed: running it
