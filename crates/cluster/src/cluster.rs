@@ -998,11 +998,6 @@ impl Cluster {
         &self.cores[id]
     }
 
-    /// The DMA engine (the offload runtime schedules transfers on it).
-    pub fn dma_mut(&mut self) -> &mut Dma {
-        &mut self.bus.dma
-    }
-
     /// Loads a program binary into L2 and invalidates the instruction
     /// cache. Returns the absolute rodata base address.
     ///
@@ -1060,37 +1055,6 @@ impl Cluster {
     /// Returns [`ClusterError::Bus`] outside the L2 window.
     pub fn read_l2(&self, addr: u32, len: usize) -> Result<Vec<u8>, ClusterError> {
         Ok(self.bus.l2.read_bytes(addr, len)?.to_vec())
-    }
-
-    /// Schedules a DMA transfer of `len` bytes starting at `now`; data is
-    /// moved functionally right away, the returned time is when the channel
-    /// completes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Bus`] if either range is unmapped.
-    pub fn dma_copy(
-        &mut self,
-        now: u64,
-        src: u32,
-        dst: u32,
-        len: usize,
-    ) -> Result<u64, ClusterError> {
-        let bytes: Vec<u8> = if self.bus.tcdm.contains(src) {
-            self.bus.tcdm.read_bytes(src, len)?.to_vec()
-        } else if self.bus.l2.contains(src) {
-            self.bus.l2.read_bytes(src, len)?.to_vec()
-        } else {
-            return Err(ClusterError::Bus(BusError::Unmapped { addr: src }));
-        };
-        if self.bus.tcdm.contains(dst) {
-            self.bus.tcdm.write_bytes(dst, &bytes)?;
-        } else if self.bus.l2.contains(dst) {
-            self.bus.l2.write_bytes(dst, &bytes)?;
-        } else {
-            return Err(ClusterError::Bus(BusError::Unmapped { addr: dst }));
-        }
-        Ok(self.bus.dma.schedule(now, len))
     }
 
     /// Resets all cores to `entry` at time `at`, loads `args` into the
@@ -1236,7 +1200,7 @@ impl Cluster {
     /// traced epoch runs wholesale and every exact fallback window after a
     /// rollback. It picks the frontmost running core once, then batches
     /// that core through pre-decoded basic-block micro-ops
-    /// ([`ulp_isa::Core::exec_block`]) for as long as the choice the
+    /// ([`ulp_isa::Core::exec_resume`]) for as long as the choice the
     /// reference scheduler would make stays the same. Once the frontmost
     /// *running* core's local time exceeds `until`, the loop returns
     /// `Ok(())` at a scan boundary (a consistent scheduler state) instead
@@ -1255,13 +1219,13 @@ impl Cluster {
     /// The batch cut-off `(t_i, i) > second` is evaluated *after* each
     /// retired instruction, and for a fixed core index it is a pure
     /// threshold on the local time, so it converts exactly to the time bound
-    /// passed to `exec_block`: `t ≤ bound ⟺ ((t << shift) | i) ≤ second`.
+    /// passed to `exec_resume`: `t ≤ bound ⟺ ((t << shift) | i) ≤ second`.
     /// (Post-retire times are ≥ 1, so the `saturating_sub` corner at
-    /// `second >> shift == 0` is unreachable.) `exec_block` checks the
-    /// deadline before each op, the outcome/bound after each op, and exits
-    /// on any redirect (taken branch, stale block, block end) — whereupon
-    /// this loop re-looks-up at the new PC and continues batching the same
-    /// core, exactly as a one-step-at-a-time batch would keep stepping it.
+    /// `second >> shift == 0` is unreachable.) `exec_resume` checks the
+    /// deadline before each op, the outcome/bound after each op, and on
+    /// any redirect (taken branch, stale block, block end) looks up the
+    /// block at the new PC and keeps batching the same core, exactly as a
+    /// one-step-at-a-time batch would keep stepping it.
     /// Blocks are built from the same decoded side table the reference
     /// fetch uses, and the I$ model is consulted once per retired
     /// instruction either way, so the stepped sequence is exactly the
@@ -2132,18 +2096,6 @@ mod tests {
     }
 
     #[test]
-    fn dma_copy_moves_data_and_reports_timing() {
-        let mut cl = quad();
-        let payload: Vec<u8> = (0..=255).collect();
-        cl.write_l2(L2_BASE + 0x4000, &payload).unwrap();
-        let done = cl
-            .dma_copy(100, L2_BASE + 0x4000, TCDM_BASE + 0x200, 256)
-            .unwrap();
-        assert_eq!(done, 100 + 10 + 64); // setup 10 + 64 words
-        assert_eq!(cl.read_tcdm(TCDM_BASE + 0x200, 256).unwrap(), payload);
-    }
-
-    #[test]
     fn icache_cold_start_then_warm() {
         let mut cl = Cluster::new(ClusterConfig {
             num_cores: 1,
@@ -2219,8 +2171,9 @@ mod tests {
     #[test]
     fn microop_engine_sees_self_modifying_code_in_its_own_block() {
         // Patch the *next* instruction in the same straight-line block: the
-        // store bumps the L2 decode generation, exec_block must exit on the
-        // staleness check and the rebuilt block must decode the new word.
+        // store bumps the L2 decode generation, the replay must leave the
+        // block on the staleness check and the rebuilt block must decode the
+        // new word.
         let new_word = ulp_isa::encode(&Insn::Addi(R5, R0, 42)).unwrap();
         let build = |target_addr: u32| {
             let mut a = Asm::new();

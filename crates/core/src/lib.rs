@@ -50,7 +50,6 @@ pub mod costmodel;
 pub mod envelope;
 pub mod pipeline;
 pub mod platform;
-pub mod queue;
 pub mod region;
 pub mod system;
 
@@ -61,11 +60,10 @@ pub use costmodel::{
 pub use envelope::{envelope_speedup, EnvelopeReport, PowerBudget};
 pub use pipeline::{PipelineConfig, DEFAULT_CHUNK_BYTES, DEFAULT_WINDOW, MIN_CHUNK_BYTES};
 pub use platform::{cluster_env, config_at_vdd, config_from_platform, host_env};
-pub use queue::{OffloadQueue, QueueReport};
 pub use region::{MapClause, MapDir, TargetRegion};
 pub use system::{
     HetSystem, HetSystemConfig, HostReport, JobPrice, LinkClocking, OffloadCost, OffloadError,
-    OffloadOptions, OffloadPolicy, OffloadReport, PlannedJob, ResilienceStats,
+    OffloadOptions, OffloadPolicy, OffloadReport, PlannedJob, QueueReport, ResilienceStats,
 };
 // Re-exported so offload users can configure fault injection without
 // depending on ulp-link directly, and the overlap accounting the

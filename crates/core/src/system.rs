@@ -7,8 +7,7 @@ use ulp_cluster::{Cluster, ClusterActivity, ClusterConfig, L2_BASE};
 use ulp_kernels::runner::MAX_KERNEL_CYCLES;
 use ulp_kernels::{BufferInit, KernelBuild};
 use ulp_link::{
-    EocOutcome, FaultConfig, FaultInjector, FaultStats, GpioEvent, SpiLink, SpiWidth, TxOutcome,
-    FRAME_OVERHEAD,
+    EocOutcome, FaultConfig, FaultInjector, GpioEvent, SpiLink, SpiWidth, TxOutcome, FRAME_OVERHEAD,
 };
 use ulp_mcu::wfe::{wfe_wait_traced, WakeReason};
 use ulp_mcu::{datasheet, Mcu, McuDevice};
@@ -16,7 +15,6 @@ use ulp_power::PulpPowerModel;
 use ulp_trace::{Component, EventKind, Overlap, PhaseKind, Tracer};
 
 use crate::pipeline::{self, ChunkOp, PipelineConfig, PipelineJob, Schedule};
-use crate::queue::{OffloadQueue, QueueReport};
 use crate::region::{MapDir, TargetRegion};
 
 /// How the serial link is clocked (paper §V discusses all three).
@@ -123,14 +121,13 @@ pub struct OffloadPolicy {
     /// recovery: the first CRC error surfaces as
     /// [`OffloadError::CrcMismatch`].
     pub max_retries: u32,
-    /// Host cycles to pause before the first retransmission.
+    /// Host cycles to pause before the first retransmission; the pause
+    /// doubles after every failed attempt (bounded exponential backoff).
     pub backoff_cycles: u64,
-    /// Double the pause after every failed attempt (bounded exponential
-    /// backoff); otherwise the pause is constant.
-    pub exponential_backoff: bool,
     /// Host-side watchdog armed before each WFE sleep, in host cycles.
     /// `0` selects the automatic deadline: 4× the expected compute time
-    /// (but at least 1000 cycles), so healthy runs never trip it.
+    /// (but at least [`OffloadPolicy::MIN_WATCHDOG_CYCLES`]), so healthy
+    /// runs never trip it.
     pub watchdog_cycles: u64,
     /// On an unrecoverable offload failure, run the remaining iterations
     /// on the host instead of returning an error (requires
@@ -143,7 +140,6 @@ impl Default for OffloadPolicy {
         OffloadPolicy {
             max_retries: 3,
             backoff_cycles: 64,
-            exponential_backoff: true,
             watchdog_cycles: 0,
             fallback_to_host: true,
         }
@@ -151,16 +147,16 @@ impl Default for OffloadPolicy {
 }
 
 impl OffloadPolicy {
+    /// Floor of the automatic watchdog deadline, in host cycles, so even
+    /// a trivial run arms a real window.
+    pub const MIN_WATCHDOG_CYCLES: u64 = 1_000;
+
     /// Backoff pause (host cycles) before retransmission `attempt`
     /// (0-based).
     #[must_use]
     pub fn backoff_for(&self, attempt: u32) -> u64 {
-        if self.exponential_backoff {
-            self.backoff_cycles
-                .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-        } else {
-            self.backoff_cycles
-        }
+        self.backoff_cycles
+            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
     }
 }
 
@@ -332,6 +328,24 @@ pub struct PlannedJob<'a> {
     pub ship_binary: bool,
 }
 
+/// Result of planning a queue with [`HetSystem::plan_queue`].
+#[derive(Clone, Debug)]
+pub struct QueueReport {
+    /// Per-job reports, in queue order — each identical to what
+    /// [`HetSystem::predict`] reports for the job with the queue's
+    /// pipeline config.
+    pub reports: Vec<OffloadReport>,
+    /// Wall-clock of running every job strictly serialized (no overlap of
+    /// any kind), the baseline of the speedup claim.
+    pub serialized_seconds: f64,
+    /// Modeled wall-clock of the queue as planned (never above
+    /// `serialized_seconds`).
+    pub total_seconds: f64,
+    /// Concurrency accounting of the shared cross-job schedule (all-zero
+    /// when the queue is planned serialized).
+    pub overlap: Overlap,
+}
+
 /// What a one-job queue costs, as [`HetSystem::price_job`] reports it:
 /// the three figures a dispatch planner needs from
 /// [`HetSystem::plan_queue`], bit for bit, without its reports.
@@ -426,7 +440,7 @@ impl ResilienceStats {
 }
 
 /// Timing and energy breakdown of one offload invocation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OffloadReport {
     /// Kernel executions performed.
     pub iterations: usize,
@@ -597,19 +611,6 @@ impl HetSystem {
     #[must_use]
     pub fn config(&self) -> &HetSystemConfig {
         &self.config
-    }
-
-    /// Replaces the fault model (resetting injector statistics and the
-    /// fault stream).
-    pub fn set_fault_config(&mut self, fault: FaultConfig) {
-        self.config.fault = fault;
-        self.injector = FaultInjector::new(fault);
-    }
-
-    /// Raw per-fault-type injector counters accumulated so far.
-    #[must_use]
-    pub fn fault_stats(&self) -> &FaultStats {
-        self.injector.stats()
     }
 
     /// The clock feeding the SPI shifter and the MCU clock (and hence
@@ -1200,7 +1201,7 @@ impl HetSystem {
         } else {
             // Auto: 4× the expected (cold) compute time in host cycles, so
             // a healthy run never trips it.
-            ((t_cold * mcu_hz * 4.0).ceil() as u64).max(1_000)
+            ((t_cold * mcu_hz * 4.0).ceil() as u64).max(OffloadPolicy::MIN_WATCHDOG_CYCLES)
         };
 
         let mut res = ResilienceStats::default();
@@ -1477,132 +1478,14 @@ impl HetSystem {
         self.resident_kernel.as_deref()
     }
 
-    /// Runs every kernel of an [`OffloadQueue`] and pipelines their
-    /// frames over the link through one shared engine schedule: the input
-    /// stream of kernel *k+1* starts shifting while kernel *k* still
-    /// computes, exactly as chunks pipeline within a single offload.
-    ///
-    /// Each per-kernel [`OffloadReport`] is exactly what
-    /// [`HetSystem::offload`] would have produced with the queue's
-    /// pipeline config; the [`QueueReport`] adds the cross-kernel view.
-    /// With `pipe.enabled == false` (or a fault-active link, where
-    /// in-flight pipelining is forfeited to keep the per-frame recovery
-    /// accounting exact), the queue degrades to strictly sequential
-    /// offloads and `total_seconds == serialized_seconds`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`OffloadError`] any queued offload raises.
-    pub fn run_queue(
-        &mut self,
-        queue: &OffloadQueue,
-        pipe: PipelineConfig,
-    ) -> Result<QueueReport, OffloadError> {
-        let norm = pipe.normalized();
-        queue.mark_consumed();
-
-        if self.injector.is_active() || !norm.enabled {
-            let mut reports: Vec<OffloadReport> = Vec::with_capacity(queue.len());
-            let mut serialized_seconds = 0.0f64;
-            let mut total_seconds = 0.0f64;
-            for (build, opts) in queue.jobs() {
-                let mut o = *opts;
-                o.pipeline = pipe;
-                let r = self.offload(build, &o)?;
-                serialized_seconds += r.binary_seconds
-                    + r.input_seconds
-                    + r.output_seconds
-                    + r.compute_seconds
-                    + r.sync_seconds
-                    + r.resilience.extra_seconds
-                    + r.resilience.fallback_seconds;
-                total_seconds += r.total_seconds();
-                reports.push(r);
-            }
-            return Ok(QueueReport {
-                reports,
-                serialized_seconds,
-                total_seconds,
-                overlap: Overlap::default(),
-            });
-        }
-
-        // Execute the side effects — cost measurement on the cluster, link
-        // statistics, binary residency — then hand the measured jobs to the
-        // pure planner shared with the serving layer.
-        let mcu_hz = self.config.mcu_freq_hz;
-        let mut measured: Vec<(OffloadCost, OffloadOptions, bool)> =
-            Vec::with_capacity(queue.len());
-        for (build, opts) in queue.jobs() {
-            let mut o = *opts;
-            o.pipeline = pipe;
-            let cost = self.measure_cost(build)?;
-            let ship_binary =
-                o.force_reload || self.resident_kernel.as_deref() != Some(build.name.as_str());
-            if ship_binary {
-                for len in pipeline::chunk_lens(cost.offload_bytes, norm.chunk_bytes) {
-                    let _ = self.link.send(len + FRAME_OVERHEAD, mcu_hz);
-                }
-                let region = TargetRegion::from_kernel(build);
-                for buf in &build.buffers {
-                    if let BufferInit::Data(d) = &buf.init {
-                        if region
-                            .maps()
-                            .iter()
-                            .any(|m| m.device_addr == buf.addr && m.dir == MapDir::ToOnce)
-                        {
-                            self.cluster.write_tcdm(buf.addr, d)?;
-                        }
-                    }
-                }
-                self.resident_kernel = Some(build.name.clone());
-            }
-            for _ in 0..o.iterations.max(1) {
-                for chunk in cost
-                    .input_frames
-                    .iter()
-                    .flat_map(|&len| pipeline::chunk_lens(len, norm.chunk_bytes))
-                {
-                    let _ = self.link.send(chunk + FRAME_OVERHEAD, mcu_hz);
-                }
-                for chunk in cost
-                    .output_frames
-                    .iter()
-                    .flat_map(|&len| pipeline::chunk_lens(len, norm.chunk_bytes))
-                {
-                    let _ = self.link.receive(chunk + FRAME_OVERHEAD, mcu_hz);
-                }
-            }
-            measured.push((cost, o, ship_binary));
-        }
-
-        let jobs: Vec<PlannedJob<'_>> = measured
-            .iter()
-            .map(|(cost, opts, ship_binary)| PlannedJob {
-                cost,
-                opts: *opts,
-                ship_binary: *ship_binary,
-            })
-            .collect();
-        let qr = self.plan_queue(&jobs, pipe);
-        for report in &qr.reports {
-            self.emit_phases(report);
-        }
-        if qr.overlap.any() {
-            self.tracer.set_overlap(qr.overlap);
-        }
-        Ok(qr)
-    }
-
     /// Plans an ordered sequence of offload jobs through one shared
     /// pipeline schedule **without touching any simulator state** — no
     /// cluster runs, no link statistics, no residency changes. Each job
     /// carries a measured [`OffloadCost`] (see [`HetSystem::measure_cost`])
-    /// plus whether the program offload is paid; this is exactly the
-    /// arithmetic [`HetSystem::run_queue`] performs after its side
-    /// effects, factored out so queues can be planned against cached
-    /// costs. A caller that needs only the price of one job, not its
-    /// reports and overlap accounting, uses [`HetSystem::price_job`].
+    /// plus whether the program offload is paid, so queues can be planned
+    /// against cached costs. A caller that needs only the price of one
+    /// job, not its reports and overlap accounting, uses
+    /// [`HetSystem::price_job`].
     ///
     /// With the pipeline disabled the jobs are planned strictly
     /// serialized and `total_seconds == serialized_seconds`.
@@ -2055,6 +1938,61 @@ mod tests {
         let _ = HetSystem::new(cfg);
     }
 
+    #[test]
+    fn planned_queues_never_lose_to_serialized_and_report_each_job_as_predicted() {
+        let env = TargetEnv::pulp_parallel();
+        let mut sys = HetSystem::new(HetSystemConfig::default());
+        let mut measure = |build: KernelBuild| sys.measure_cost(&build).unwrap();
+        let queues = [
+            // Two sizes of one kernel, then a pair of Table I kernels.
+            [
+                measure(small_build()),
+                measure(ulp_kernels::matmul::build_sized(
+                    ulp_kernels::matmul::MatVariant::Char,
+                    &env,
+                    8,
+                )),
+            ],
+            [
+                measure(Benchmark::MatMul.build(&env)),
+                measure(Benchmark::Cnn.build(&env)),
+            ],
+        ];
+        let opts = OffloadOptions {
+            iterations: 4,
+            ..Default::default()
+        };
+        for costs in &queues {
+            let jobs = costs.each_ref().map(|cost| PlannedJob {
+                cost,
+                opts,
+                ship_binary: true,
+            });
+
+            let piped = sys.plan_queue(&jobs, PipelineConfig::enabled());
+            assert!(piped.total_seconds <= piped.serialized_seconds);
+            assert!(piped.overlap.check().is_ok(), "{:?}", piped.overlap.check());
+
+            let serial = sys.plan_queue(&jobs, PipelineConfig::default());
+            assert_eq!(
+                serial.total_seconds.to_bits(),
+                serial.serialized_seconds.to_bits()
+            );
+            assert!(!serial.overlap.any());
+
+            for (pipeline, plan) in [
+                (PipelineConfig::enabled(), &piped),
+                (PipelineConfig::default(), &serial),
+            ] {
+                assert_eq!(plan.reports.len(), jobs.len());
+                for (job, report) in jobs.iter().zip(&plan.reports) {
+                    let o = OffloadOptions { pipeline, ..opts };
+                    assert_eq!(report, &sys.predict(job.cost, &o, job.ship_binary));
+                }
+            }
+        }
+    }
+
     // ---- resilience ----------------------------------------------------
 
     fn faulty_config(fault: FaultConfig) -> HetSystemConfig {
@@ -2227,9 +2165,7 @@ mod tests {
         let healthy = plain.offload(&build, &opts).unwrap();
         assert!(rep.total_seconds() > healthy.total_seconds());
         // The next offload must re-ship the binary: nothing is resident.
-        sys.set_fault_config(FaultConfig::default());
-        let after = sys.offload(&build, &opts).unwrap();
-        assert!(after.binary_seconds > 0.0);
+        assert_eq!(sys.resident_kernel(), None);
     }
 
     #[test]
@@ -2288,7 +2224,6 @@ mod tests {
             OffloadError::RetriesExhausted { attempts } => assert_eq!(attempts, 4),
             other => panic!("expected RetriesExhausted, got {other}"),
         }
-        assert!(sys.fault_stats().frames_dropped >= 4);
     }
 
     #[test]
@@ -2320,7 +2255,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_is_exponential_when_asked() {
+    fn backoff_schedule_is_exponential() {
         let pol = OffloadPolicy {
             backoff_cycles: 64,
             ..OffloadPolicy::default()
@@ -2328,11 +2263,6 @@ mod tests {
         assert_eq!(pol.backoff_for(0), 64);
         assert_eq!(pol.backoff_for(1), 128);
         assert_eq!(pol.backoff_for(3), 512);
-        let flat = OffloadPolicy {
-            exponential_backoff: false,
-            ..pol
-        };
-        assert_eq!(flat.backoff_for(3), 64);
         // Saturates instead of overflowing.
         assert_eq!(
             OffloadPolicy {

@@ -242,7 +242,7 @@ pub enum StepOutcome {
     EventSent(u8),
 }
 
-/// Why [`Core::exec_block`] stopped executing a micro-op block.
+/// Why [`Core::exec_resume`] stopped executing a micro-op block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BlockExit {
     /// A non-[`StepOutcome::Executed`] outcome retired (halt, sleep,
@@ -1133,8 +1133,10 @@ impl Core {
         self.pc = next_pc;
     }
 
-    /// Executes micro-ops from `block` (whose entry must be the current
-    /// `pc`) until an exit condition, without touching the decoder.
+    /// Executes micro-ops from `block` until an exit condition, without
+    /// touching the decoder. `entry_pc` is the block's entry and `idx` the
+    /// micro-op index of the current `pc`, so [`Core::exec_resume`] can
+    /// continue a replay a batch bound interrupted.
     ///
     /// Exit conditions, checked in scheduler-equivalent order: the local
     /// time exceeding `deadline` before an op (→ [`BlockExit::Deadline`]); a
@@ -1143,25 +1145,6 @@ impl Core {
     /// (time, index) batching cut-off of the cluster's micro-op loop); control
     /// leaving the straight line, the block going stale after a write, or
     /// the block ending (→ [`BlockExit::Redirect`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] exactly as [`Core::step`] would for the same
-    /// instruction sequence, or [`ExecError::NotRunning`] if the core is
-    /// not in the running state.
-    pub fn exec_block<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        block: &Block,
-        deadline: u64,
-        bound: u64,
-    ) -> Result<BlockExit, ExecError> {
-        self.exec_block_from(bus, block, self.pc, 0, deadline, bound)
-    }
-
-    /// [`Core::exec_block`] entered mid-block: `entry_pc` is the block's
-    /// entry and `idx` the micro-op index of the current `pc` — how
-    /// [`Core::exec_resume`] continues a replay a batch bound interrupted.
     fn exec_block_from<B: Bus>(
         &mut self,
         bus: &mut B,
@@ -1243,7 +1226,9 @@ impl Core {
     ///
     /// # Errors
     ///
-    /// Exactly those of [`Core::exec_block`].
+    /// Returns [`ExecError`] exactly as [`Core::step`] would for the same
+    /// instruction sequence, or [`ExecError::NotRunning`] if the core is
+    /// not in the running state.
     pub fn exec_resume<B: Bus>(
         &mut self,
         bus: &mut B,

@@ -302,19 +302,6 @@ pub enum Insn {
 }
 
 impl Insn {
-    /// Whether this instruction reads or writes data memory.
-    #[must_use]
-    pub fn is_mem(&self) -> bool {
-        matches!(
-            self,
-            Insn::Load { .. }
-                | Insn::LoadPi { .. }
-                | Insn::Store { .. }
-                | Insn::StorePi { .. }
-                | Insn::Tas(..)
-        )
-    }
-
     /// Whether this instruction may redirect control flow.
     #[must_use]
     pub fn is_control(&self) -> bool {
@@ -328,27 +315,6 @@ impl Insn {
                 | Insn::Bgeu(..)
                 | Insn::Jal(..)
                 | Insn::Jalr(..)
-        )
-    }
-
-    /// Whether this instruction belongs to a feature-gated ISA extension
-    /// (and therefore faults on cores lacking the corresponding feature).
-    #[must_use]
-    pub fn is_extension(&self) -> bool {
-        matches!(
-            self,
-            Insn::Mac(..)
-                | Insn::Mull { .. }
-                | Insn::Mlal { .. }
-                | Insn::SdotV4(..)
-                | Insn::SdotV2(..)
-                | Insn::AddV4(..)
-                | Insn::AddV2(..)
-                | Insn::SubV4(..)
-                | Insn::SubV2(..)
-                | Insn::LoadPi { .. }
-                | Insn::StorePi { .. }
-                | Insn::LpSetup { .. }
         )
     }
 }
@@ -499,18 +465,7 @@ mod tests {
 
     #[test]
     fn classification_predicates() {
-        assert!(Insn::Load {
-            rd: R1,
-            base: R2,
-            offset: 0,
-            size: MemSize::Word,
-            signed: true
-        }
-        .is_mem());
         assert!(Insn::Beq(R1, R2, -8).is_control());
-        assert!(Insn::Mac(R1, R2, R3).is_extension());
-        assert!(!Insn::Add(R1, R2, R3).is_extension());
-        assert!(!Insn::Add(R1, R2, R3).is_mem());
     }
 
     #[test]

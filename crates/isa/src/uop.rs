@@ -8,7 +8,7 @@
 //! a flat `Vec<MicroOp>` whose operands (register indices, sign-extended
 //! immediates, pre-resolved timing/penalty values) are ready for a direct
 //! dispatch on a dense [`UopKind`] discriminant. The executing core (see
-//! `Core::exec_block` in [`exec`](crate::exec)) then retires the whole block
+//! `Core::exec_resume` in [`exec`](crate::exec)) then retires the whole block
 //! without touching the decoder.
 //!
 //! Equivalence with the reference `Core::step` path is preserved by

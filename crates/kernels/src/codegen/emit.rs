@@ -14,7 +14,7 @@
 //! runtime's fork/join/barrier overhead (reported at ≈6 % on average).
 
 use ulp_isa::reg::named::*;
-use ulp_isa::{Asm, Csr, Insn, Label, Reg};
+use ulp_isa::{Asm, Csr, Insn, Reg};
 
 use super::{TargetEnv, CORE_ID_REG};
 
@@ -218,12 +218,6 @@ pub fn addr_of(a: &mut Asm, rd: Reg, base: Reg, idx: Reg, log2_scale: u8) {
         a.slli(rd, idx, log2_scale);
         a.add(rd, rd, base);
     }
-}
-
-/// Returns the label binding used by tests to ensure helpers compose; also
-/// a convenience for forward jumps in generators.
-pub fn forward(a: &mut Asm) -> Label {
-    a.new_label()
 }
 
 #[cfg(test)]

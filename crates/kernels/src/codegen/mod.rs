@@ -229,12 +229,6 @@ impl DataLayout {
     pub fn finish(self) -> Vec<Buffer> {
         self.buffers
     }
-
-    /// Bytes allocated so far.
-    #[must_use]
-    pub fn used(&self) -> usize {
-        (self.next - self.buffers.first().map_or(self.next, |b| b.addr)) as usize
-    }
 }
 
 /// A fully built kernel: program, data, and golden outputs.

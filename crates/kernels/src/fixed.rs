@@ -10,33 +10,12 @@
 
 /// Fractional bits of the 16-bit Q2.13 format.
 pub const Q13: u32 = 13;
-/// Fractional bits of the 32-bit Q16.15 format.
-pub const Q15: u32 = 15;
 
 /// Converts a float to Q2.13 (saturating to the representable range).
 #[must_use]
 pub fn to_q13(x: f64) -> i16 {
     let v = (x * f64::from(1 << Q13)).round();
     v.clamp(f64::from(i16::MIN), f64::from(i16::MAX)) as i16
-}
-
-/// Converts Q2.13 to float.
-#[must_use]
-pub fn from_q13(x: i16) -> f64 {
-    f64::from(x) / f64::from(1 << Q13)
-}
-
-/// Converts a float to Q16.15 (saturating).
-#[must_use]
-pub fn to_q15_32(x: f64) -> i32 {
-    let v = (x * f64::from(1u32 << Q15)).round();
-    v.clamp(f64::from(i32::MIN), f64::from(i32::MAX)) as i32
-}
-
-/// Converts Q16.15 to float.
-#[must_use]
-pub fn from_q15_32(x: i32) -> f64 {
-    f64::from(x) / f64::from(1u32 << Q15)
 }
 
 /// Q2.13 multiply exactly as the kernels compute it: 32-bit wrapping
@@ -55,13 +34,6 @@ pub fn q13_mul(a: i16, b: i16) -> i16 {
 #[must_use]
 pub fn q13_mul_wide(a: i16, b: i16) -> i32 {
     i32::from(a).wrapping_mul(i32::from(b)) >> Q13
-}
-
-/// Q16.15 multiply via a full 64-bit product (the sequence `hog` emulates
-/// in software on OR10N and maps to `SMULL` on Cortex-M).
-#[must_use]
-pub fn q15_mul(a: i32, b: i32) -> i32 {
-    ((i64::from(a).wrapping_mul(i64::from(b))) >> Q15) as i32
 }
 
 /// Unsigned integer square root of a 64-bit value, by the classic
@@ -85,19 +57,6 @@ pub fn isqrt_u64(v: u64) -> u32 {
         bit >>= 2;
     }
     result as u32
-}
-
-/// Unsigned 32-bit division by the shift-subtract method — the software
-/// routine emitted for cores without a hardware divider (OR10N).
-///
-/// Division by zero returns `u32::MAX`, matching the UIR `divu` semantics.
-#[must_use]
-pub fn udiv_u32(num: u32, den: u32) -> u32 {
-    if den == 0 {
-        return u32::MAX;
-    }
-    // The bit-serial loop computes the same quotient as hardware division.
-    num / den
 }
 
 /// Builds a lookup table of `exp(-x)` in Q2.13 over `x ∈ [0, range)`,
@@ -128,43 +87,15 @@ pub fn tanh_lut_q13(n: usize, range: f64) -> Vec<i16> {
         .collect()
 }
 
-/// Looks up `exp(-x)` for a Q2.13 operand `x` in a table produced by
-/// [`exp_neg_lut_q13`], with the exact index arithmetic the generated code
-/// uses: `idx = (x * n / (range << 13))`, clamped to the table.
-#[must_use]
-pub fn exp_neg_lookup_q13(lut: &[i16], x_q13: i32, range: f64) -> i16 {
-    if x_q13 <= 0 {
-        return to_q13(1.0);
-    }
-    let denom = (range * f64::from(1 << Q13)) as i32;
-    let idx = (x_q13 as i64 * lut.len() as i64 / i64::from(denom)) as usize;
-    if idx >= lut.len() {
-        0
-    } else {
-        lut[idx]
-    }
-}
-
-/// Looks up `tanh(x)` for a Q2.13 operand in a table from
-/// [`tanh_lut_q13`], clamped at the range ends.
-#[must_use]
-pub fn tanh_lookup_q13(lut: &[i16], x_q13: i32, range: f64) -> i16 {
-    let half = (range * f64::from(1 << Q13)) as i32;
-    let shifted = x_q13.saturating_add(half);
-    if shifted < 0 {
-        return lut[0];
-    }
-    let idx = (shifted as i64 * lut.len() as i64 / i64::from(2 * half)) as usize;
-    if idx >= lut.len() {
-        lut[lut.len() - 1]
-    } else {
-        lut[idx]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Converts Q2.13 to float: the oracle the conversion and multiply
+    /// tests read their results through.
+    fn from_q13(x: i16) -> f64 {
+        f64::from(x) / f64::from(1 << Q13)
+    }
 
     #[test]
     fn q13_roundtrip_accuracy() {
@@ -187,16 +118,6 @@ mod tests {
             let qb = to_q13(b);
             let prod = from_q13(q13_mul(qa, qb));
             assert!((prod - a * b).abs() < 2.0 / 8192.0, "{a}*{b} -> {prod}");
-        }
-    }
-
-    #[test]
-    fn q15_mul_matches_float() {
-        for &(a, b) in &[(100.5, 2.0), (-7.25, 3.0), (0.001, 1000.0)] {
-            let qa = to_q15_32(a);
-            let qb = to_q15_32(b);
-            let prod = from_q15_32(q15_mul(qa, qb));
-            assert!((prod - a * b).abs() < 0.01, "{a}*{b} -> {prod}");
         }
     }
 
@@ -233,13 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn udiv_semantics() {
-        assert_eq!(udiv_u32(100, 7), 14);
-        assert_eq!(udiv_u32(0, 5), 0);
-        assert_eq!(udiv_u32(123, 0), u32::MAX);
-    }
-
-    #[test]
     fn exp_lut_monotone_decreasing() {
         let lut = exp_neg_lut_q13(256, 8.0);
         assert_eq!(lut[0], to_q13(1.0));
@@ -253,24 +167,17 @@ mod tests {
     fn exp_lookup_accuracy() {
         let lut = exp_neg_lut_q13(256, 8.0);
         for &x in &[0.0f64, 0.5, 1.0, 2.0, 4.0, 7.5] {
-            let q = (x * 8192.0) as i32;
-            let got = from_q13(exp_neg_lookup_q13(&lut, q, 8.0));
+            let got = from_q13(lut[(x / 8.0 * 256.0) as usize]);
             assert!((got - (-x).exp()).abs() < 0.05, "exp(-{x}) -> {got}");
         }
-        // Out of range saturates to zero / one.
-        assert_eq!(exp_neg_lookup_q13(&lut, 100 * 8192, 8.0), 0);
-        assert_eq!(exp_neg_lookup_q13(&lut, -5, 8.0), to_q13(1.0));
     }
 
     #[test]
-    fn tanh_lookup_accuracy_and_clamping() {
+    fn tanh_lookup_accuracy() {
         let lut = tanh_lut_q13(512, 4.0);
         for &x in &[-3.5f64, -1.0, -0.25, 0.0, 0.25, 1.0, 3.5] {
-            let q = (x * 8192.0) as i32;
-            let got = from_q13(tanh_lookup_q13(&lut, q, 4.0));
+            let got = from_q13(lut[((x + 4.0) / 8.0 * 512.0) as usize]);
             assert!((got - x.tanh()).abs() < 0.05, "tanh({x}) -> {got}");
         }
-        assert_eq!(tanh_lookup_q13(&lut, i32::MIN / 2, 4.0), lut[0]);
-        assert_eq!(tanh_lookup_q13(&lut, i32::MAX / 2, 4.0), lut[511]);
     }
 }

@@ -162,19 +162,6 @@ impl Benchmark {
         }
     }
 
-    /// Builds a reduced-size variant where the benchmark supports it
-    /// (used by fast tests; falls back to the full size otherwise).
-    #[must_use]
-    pub fn build_reduced(self, env: &TargetEnv) -> KernelBuild {
-        match self {
-            Benchmark::MatMul => matmul::build_sized(matmul::MatVariant::Char, env, 16),
-            Benchmark::MatMulShort => matmul::build_sized(matmul::MatVariant::Short, env, 16),
-            Benchmark::MatMulFixed => matmul::build_sized(matmul::MatVariant::Fixed, env, 16),
-            Benchmark::Hog => hog::build_sized(env, 16),
-            other => other.build(env),
-        }
-    }
-
     /// Counts the benchmark's **RISC ops** — retired instructions on the
     /// featureless baseline core (paper §IV footnote 1).
     ///
@@ -252,14 +239,5 @@ mod tests {
                 "cnn (approx)"
             ]
         );
-    }
-
-    #[test]
-    fn every_benchmark_builds_and_runs_reduced() {
-        let env = TargetEnv::pulp_parallel();
-        for b in Benchmark::ALL {
-            let build = b.build_reduced(&env);
-            run(&build, &env).unwrap_or_else(|e| panic!("{}: {e}", build.name));
-        }
     }
 }

@@ -134,26 +134,10 @@ impl SpiLink {
         clocks / self.clock_hz(mcu_hz)
     }
 
-    /// MCU core cycles the link is occupied by a transfer of `bytes` (the
-    /// MCU DMA runs the transfer; the core may sleep meanwhile).
-    #[must_use]
-    pub fn transfer_mcu_cycles(&self, bytes: usize) -> u64 {
-        let bits = bytes as u64 * 8 + u64::from(self.overhead_bits);
-        let clocks = bits.div_ceil(u64::from(self.width.bits_per_clock()));
-        clocks * u64::from(self.prescaler)
-    }
-
     /// Energy dissipated moving `bytes` (drivers + pads).
     #[must_use]
     pub fn transfer_energy_joules(&self, bytes: usize) -> f64 {
         (bytes as f64 * 8.0 + f64::from(self.overhead_bits)) * self.energy_per_bit_j
-    }
-
-    /// Average power drawn by the link while continuously transferring at
-    /// the given MCU frequency.
-    #[must_use]
-    pub fn active_power_watts(&self, mcu_hz: f64) -> f64 {
-        self.clock_hz(mcu_hz) * f64::from(self.width.bits_per_clock()) * self.energy_per_bit_j
     }
 
     /// Records a host→accelerator transaction and returns its duration in
@@ -255,13 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn mcu_cycles_round_up() {
-        let link = SpiLink::new(SpiWidth::Quad, 2);
-        // 1 byte: 8+48 = 56 bits / 4 = 14 clocks * 2 = 28 cycles.
-        assert_eq!(link.transfer_mcu_cycles(1), 28);
-    }
-
-    #[test]
     fn send_receive_accumulate_stats() {
         let mut link = SpiLink::default();
         let t1 = link.send(100, 16.0e6);
@@ -274,15 +251,5 @@ mod tests {
         assert!(s.energy_joules > 0.0);
         link.reset_stats();
         assert_eq!(link.stats().transactions, 0);
-    }
-
-    #[test]
-    fn link_power_scales_with_frequency_and_width() {
-        let s = SpiLink::new(SpiWidth::Single, 2);
-        let q = SpiLink::new(SpiWidth::Quad, 2);
-        assert!(q.active_power_watts(32.0e6) > s.active_power_watts(32.0e6));
-        assert!(s.active_power_watts(32.0e6) > s.active_power_watts(8.0e6));
-        // Sub-10mW system: the link must be far below a milliwatt.
-        assert!(q.active_power_watts(80.0e6) < 1.0e-3);
     }
 }

@@ -120,16 +120,6 @@ impl Mcu {
         self.freq_hz
     }
 
-    /// Changes the clock frequency (DVFS).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is invalid for the device.
-    pub fn set_freq_hz(&mut self, freq_hz: f64) {
-        assert!(freq_hz > 0.0 && freq_hz <= self.device.fmax_hz * 1.0001);
-        self.freq_hz = freq_hz;
-    }
-
     /// Selects whether [`Mcu::run_program`] uses the micro-op block engine
     /// (`true`, the default) or the classic one-instruction step loop
     /// (`false`). Both are bit-identical; see
@@ -151,15 +141,6 @@ impl Mcu {
     /// Returns [`McuError::Bus`] outside the SRAM window.
     pub fn write_mem(&mut self, addr: u32, bytes: &[u8]) -> Result<(), McuError> {
         Ok(self.mem.write_bytes(addr, bytes)?)
-    }
-
-    /// Reads data from host SRAM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McuError::Bus`] outside the SRAM window.
-    pub fn read_mem(&self, addr: u32, len: usize) -> Result<Vec<u8>, McuError> {
-        Ok(self.mem.read_bytes(addr, len)?.to_vec())
     }
 
     /// Loads `prog` at the SRAM base and runs it to completion with the

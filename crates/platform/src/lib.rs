@@ -138,13 +138,6 @@ impl PlatformSpec {
         PlatformSpec::parse(path, &text)
     }
 
-    /// Cluster clock at the default operating point: `fmax(default_vdd)`
-    /// under the platform's power model.
-    #[must_use]
-    pub fn default_freq_hz(&self) -> f64 {
-        self.power.fmax_hz(self.default_vdd)
-    }
-
     /// The resolved DVFS ladder, ascending in voltage (and therefore in
     /// frequency and power). Each rung's power uses the all-cores-busy
     /// activity proxy for this platform's cluster shape.

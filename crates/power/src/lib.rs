@@ -9,7 +9,8 @@
 //! > P_d = f_clk · Σᵢ (χ_i,idle·ρ_i,idle + χ_i,run·ρ_i,run + χ_i,dma·ρ_i,dma)"
 //!
 //! where χᵢ are component activity ratios measured by the performance
-//! monitoring unit (here: [`ClusterActivity`] from a simulation run) and ρᵢ
+//! monitoring unit (here: [`ClusterActivity`](ulp_cluster::ClusterActivity)
+//! from a simulation run) and ρᵢ
 //! are per-component dynamic power densities. Leakage and maximum frequency
 //! are tabulated per supply voltage (0.5 V – 1.0 V in 100 mV steps, like
 //! the post-layout analysis of the PULP3 chip) and interpolated with a
@@ -40,8 +41,6 @@ pub mod model;
 
 pub use model::{busy_activity, EnvelopePoint, PulpPowerModel};
 
-use ulp_cluster::ClusterActivity;
-
 /// Billions of (RISC) operations per second, the throughput unit of the
 /// paper's Fig. 3.
 #[must_use]
@@ -65,13 +64,6 @@ pub fn gops_per_watt(gops: f64, watts: f64) -> f64 {
 #[must_use]
 pub fn energy_joules(watts: f64, seconds: f64) -> f64 {
     watts * seconds
-}
-
-/// Mean core activity factor of a run (χ_run averaged over cores), used to
-/// weight the shared fetch path and interconnect densities.
-#[must_use]
-pub fn mean_core_chi(activity: &ClusterActivity) -> f64 {
-    activity.chi_cores_mean()
 }
 
 #[cfg(test)]

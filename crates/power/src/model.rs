@@ -122,12 +122,6 @@ impl PulpPowerModel {
         }
     }
 
-    /// Supply range covered by the model.
-    #[must_use]
-    pub fn vdd_range(&self) -> (f64, f64) {
-        (VDD_ANCHORS[0], VDD_ANCHORS[5])
-    }
-
     /// Maximum clock frequency at `vdd`, polynomial-interpolated between
     /// the tabulated 100 mV operating points.
     ///

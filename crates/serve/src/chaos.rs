@@ -10,8 +10,8 @@
 //! clock the scheduler runs on:
 //!
 //! * a corrupted, truncated, or dropped frame costs a retransmission
-//!   (frame time + bounded exponential backoff), mirroring
-//!   [`OffloadPolicy::backoff_for`](ulp_offload::OffloadPolicy);
+//!   (frame time + bounded exponential backoff,
+//!   [`OffloadPolicy::backoff_for`]);
 //! * a hung accelerator run costs the armed watchdog window, then the
 //!   whole batch restarts from scratch;
 //! * when the retry budget is exhausted the batch **fails over to the
@@ -27,7 +27,7 @@
 use ulp_link::{
     EocOutcome, FaultConfig, FaultInjector, FaultStats, SpiLink, TxOutcome, FRAME_OVERHEAD,
 };
-use ulp_offload::{HetSystemConfig, OffloadCost};
+use ulp_offload::{HetSystemConfig, OffloadCost, OffloadPolicy};
 
 /// Fault rates of one worker's link and event wires — the serve-scale
 /// twin of [`FaultConfig`], holding only the knobs that make sense for a
@@ -90,21 +90,14 @@ pub struct ChaosConfig {
     /// len]`). Empty disables chaos entirely — the pool behaves (and
     /// reports) bit-identically to a chaos-free build.
     pub profiles: Vec<FaultProfile>,
-    /// Retransmissions per frame (and restart attempts per hung batch)
-    /// before the dispatch is declared unrecoverable.
-    pub max_retries: u32,
-    /// Host cycles paused before the first retransmission; doubles per
-    /// attempt (bounded exponential backoff).
-    pub backoff_cycles: u64,
-    /// Watchdog armed around each dispatch, in virtual nanoseconds.
-    /// `0` selects the automatic deadline: 4× the batch's expected
-    /// compute time, matching the offload runtime's WFE watchdog.
-    pub watchdog_ns: u64,
-    /// Run an unrecoverable batch's payloads on the host (needs host
-    /// costs in the book, see
+    /// The offload runtime's recovery policy, applied per dispatch: its
+    /// retries bound the retransmissions per frame and the restarts per
+    /// hung batch, and its watchdog (in host cycles) is armed around each
+    /// dispatch. Its host fallback runs an unrecoverable batch's payloads
+    /// on the host and needs host costs in the book (see
     /// [`CostBook::measure_with_host`](crate::CostBook::measure_with_host));
-    /// otherwise the batch's requests fail outright.
-    pub fallback_to_host: bool,
+    /// without it the batch's requests fail outright.
+    pub policy: OffloadPolicy,
 }
 
 impl Default for ChaosConfig {
@@ -112,10 +105,7 @@ impl Default for ChaosConfig {
         ChaosConfig {
             seed: 1,
             profiles: Vec::new(),
-            max_retries: 3,
-            backoff_cycles: 64,
-            watchdog_ns: 0,
-            fallback_to_host: true,
+            policy: OffloadPolicy::default(),
         }
     }
 }
@@ -154,16 +144,6 @@ impl ChaosConfig {
             .seed
             .wrapping_add((widx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         Some(FaultInjector::new(profile.fault_config(seed)))
-    }
-
-    /// Backoff pause before retransmission `attempt` (0-based), in
-    /// virtual nanoseconds at the given host clock.
-    #[must_use]
-    pub fn backoff_ns(&self, attempt: u32, mcu_hz: f64) -> u64 {
-        let cycles = self
-            .backoff_cycles
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
-        (cycles as f64 * 1e9 / mcu_hz).round() as u64
     }
 }
 
@@ -249,8 +229,9 @@ impl LinkTiming {
             .round() as u64
     }
 
-    pub(crate) fn mcu_hz(&self) -> f64 {
-        self.mcu_hz
+    /// Host cycles → virtual nanoseconds.
+    pub(crate) fn host_cycles_ns(&self, cycles: u64) -> u64 {
+        (cycles as f64 * 1e9 / self.mcu_hz).round() as u64
     }
 
     /// Accelerator cycles → virtual nanoseconds.
@@ -368,6 +349,7 @@ pub(crate) fn degrade(
         watchdog_fires: 0,
         late_events: 0,
     };
+    let policy = &cfg.policy;
     let mut extra_ns = 0u64;
     let mut undeliverable = false;
 
@@ -392,14 +374,14 @@ pub(crate) fn degrade(
                 TxOutcome::Corrupted { escaped: false }
                 | TxOutcome::Truncated
                 | TxOutcome::Dropped => {
-                    if attempt >= cfg.max_retries {
+                    if attempt >= policy.max_retries {
                         undeliverable = true;
                         break 'frames;
                     }
                     out.retransmissions += 1;
                     extra_ns = extra_ns
                         .saturating_add(timing.frame_ns(payload))
-                        .saturating_add(cfg.backoff_ns(attempt, timing.mcu_hz()));
+                        .saturating_add(timing.host_cycles_ns(policy.backoff_for(attempt)));
                     attempt += 1;
                 }
             }
@@ -407,12 +389,14 @@ pub(crate) fn degrade(
     }
 
     if !undeliverable {
-        let watchdog_ns = if cfg.watchdog_ns > 0 {
-            cfg.watchdog_ns
+        let watchdog_ns = if policy.watchdog_cycles > 0 {
+            timing.host_cycles_ns(policy.watchdog_cycles)
         } else {
             // The offload runtime's auto deadline: 4× expected compute,
             // floored so even a trivial batch arms a real window.
-            (job.compute_ns.saturating_mul(4)).max(1_000)
+            job.compute_ns
+                .saturating_mul(4)
+                .max(timing.host_cycles_ns(OffloadPolicy::MIN_WATCHDOG_CYCLES))
         };
         let mut attempt = 0u32;
         loop {
@@ -426,7 +410,7 @@ pub(crate) fn degrade(
                 EocOutcome::Hang => {
                     out.watchdog_fires += 1;
                     extra_ns = extra_ns.saturating_add(watchdog_ns);
-                    if attempt >= cfg.max_retries {
+                    if attempt >= policy.max_retries {
                         undeliverable = true;
                         break;
                     }
@@ -437,7 +421,7 @@ pub(crate) fn degrade(
     }
 
     if undeliverable {
-        if cfg.fallback_to_host && job.host_est_ns > 0 {
+        if policy.fallback_to_host && job.host_est_ns > 0 {
             out.fate = BatchFate::FailedOver;
             out.service_ns =
                 extra_ns.saturating_add(job.host_est_ns.saturating_mul(job.iterations as u64));
@@ -538,30 +522,55 @@ mod tests {
 
     #[test]
     fn certain_hang_falls_over_to_host_after_retries() {
-        let cfg = ChaosConfig {
-            max_retries: 2,
-            ..ChaosConfig::uniform(
-                5,
-                FaultProfile {
-                    hang_rate: 1.0,
-                    ..FaultProfile::default()
-                },
-            )
-        };
-        let mut inj = cfg.injector_for(0).unwrap();
+        // Three watchdog windows (initial run + 2 retries), then the four
+        // payloads run on the host at 10 ms each. The window counts host
+        // cycles: 16,000 at the default 16 MHz host is 1 ms, and the
+        // automatic window (4× compute) floors at MIN_WATCHDOG_CYCLES,
+        // 62.5 µs at 16 MHz.
         let c = cost();
-        let j = job(&c);
-        let d = degrade(&mut inj, &cfg, &timing(), &j);
-        assert_eq!(d.fate, BatchFate::FailedOver);
-        assert_eq!(d.watchdog_fires, 3); // initial + 2 retries
-        assert!(d.service_ns >= 4 * 10_000_000, "host time dominates");
+        for (watchdog_cycles, compute_ns, window_ns) in [
+            (16_000, 400_000, 1_000_000),
+            (0, 400_000, 1_600_000),
+            (0, 10, 62_500),
+        ] {
+            let cfg = ChaosConfig {
+                policy: OffloadPolicy {
+                    max_retries: 2,
+                    watchdog_cycles,
+                    ..OffloadPolicy::default()
+                },
+                ..ChaosConfig::uniform(
+                    5,
+                    FaultProfile {
+                        hang_rate: 1.0,
+                        ..FaultProfile::default()
+                    },
+                )
+            };
+            let mut inj = cfg.injector_for(0).unwrap();
+            let j = DispatchJob {
+                compute_ns,
+                ..job(&c)
+            };
+            let d = degrade(&mut inj, &cfg, &timing(), &j);
+            assert_eq!(d.fate, BatchFate::FailedOver);
+            assert_eq!(d.watchdog_fires, 3);
+            assert_eq!(
+                d.service_ns,
+                3 * window_ns + 4 * 10_000_000,
+                "watchdog {watchdog_cycles} cycles, compute {compute_ns} ns"
+            );
+        }
     }
 
     #[test]
     fn no_fallback_means_failed() {
         let cfg = ChaosConfig {
-            fallback_to_host: false,
-            max_retries: 0,
+            policy: OffloadPolicy {
+                max_retries: 0,
+                fallback_to_host: false,
+                ..OffloadPolicy::default()
+            },
             ..ChaosConfig::uniform(
                 5,
                 FaultProfile {

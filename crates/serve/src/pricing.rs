@@ -43,7 +43,8 @@ pub(crate) struct BookEntry {
 ///
 /// [`CostBook::measure_with_host`] additionally prices each kernel on
 /// the host alone, which arms the chaos layer's host fallback
-/// ([`ChaosConfig::fallback_to_host`](crate::ChaosConfig::fallback_to_host)).
+/// (the [`ChaosConfig::policy`](crate::ChaosConfig::policy)'s
+/// `fallback_to_host`).
 #[derive(Clone, Debug)]
 pub struct CostBook {
     pub(crate) entries: Vec<BookEntry>,

@@ -343,7 +343,7 @@ impl ServePool {
     /// not configured for.
     pub fn run(&mut self, requests: &[ServeRequest]) -> Result<ServeReport, ServeError> {
         check_stream(requests)?;
-        let need_host = self.chaos.is_active() && self.chaos.fallback_to_host;
+        let need_host = self.chaos.is_active() && self.chaos.policy.fallback_to_host;
         for r in requests {
             if r.tenant >= self.tenants.len() {
                 return Err(ServeError::UnknownTenant {

@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn misconfiguration_reports_the_seed() {
         let mut s = spec(123);
-        s.chaos.fallback_to_host = true;
+        s.chaos.policy.fallback_to_host = true;
         // A book without host costs cannot arm the fallback.
         let plain = CostBook::measure(
             &TargetEnv::pulp_parallel(),

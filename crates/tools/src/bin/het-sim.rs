@@ -65,7 +65,8 @@ fn run() -> Result<(), String> {
              [--ber RATE] [--drop-rate R] [--truncate-rate R] [--hang-rate R] \
              [--late-eoc-rate R] [--late-eoc-cycles N] [--stuck-eoc] \
              [--stuck-fetch-enable] [--fault-seed N] [--max-retries N] \
-             [--backoff-cycles N] [--watchdog-cycles N] [--no-fallback] \
+             [--backoff-cycles HOST_CYCLES] [--watchdog-cycles HOST_CYCLES] \
+             [--no-fallback] \
              [--trace FILE] [--trace-cap N] [--counters] \
              [--perf] [--engine reference|epoch] [--jobs N] \
              [--serve] [--pool N] [--max-batch N] [--serial] [--no-fair] \
@@ -147,6 +148,15 @@ fn run() -> Result<(), String> {
         stuck_fetch_enable: args.has("stuck-fetch-enable"),
         stuck_eoc: args.has("stuck-eoc"),
     };
+    // One recovery policy for every mode; `--backoff-cycles` and
+    // `--watchdog-cycles` count host cycles.
+    let policy = OffloadPolicy {
+        max_retries: u32::try_from(args.get_usize("max-retries", 3)?)
+            .map_err(|_| "--max-retries out of range".to_owned())?,
+        backoff_cycles: args.get_usize("backoff-cycles", 64)? as u64,
+        watchdog_cycles: args.get_usize("watchdog-cycles", 0)? as u64,
+        fallback_to_host: !args.has("no-fallback"),
+    };
     if args.has("budget-mw") {
         let budget = args.get_f64("budget-mw", 10.0)? * 1e-3;
         let residual = budget - cfg.mcu.run_power_w(cfg.mcu_freq_hz) - 20.0e-6;
@@ -163,7 +173,7 @@ fn run() -> Result<(), String> {
         return run_fleet(&args, benchmark, &cfg);
     }
     if args.has("serve") || args.has("soak") {
-        return run_serve(&args, benchmark, &cfg, args.has("soak"));
+        return run_serve(&args, benchmark, &cfg, policy, args.has("soak"));
     }
 
     let mut sys = HetSystem::new(cfg);
@@ -207,14 +217,7 @@ fn run() -> Result<(), String> {
         host_task: args.has("host-task"),
         force_reload: false,
         pipeline,
-        policy: OffloadPolicy {
-            max_retries: u32::try_from(args.get_usize("max-retries", 3)?)
-                .map_err(|_| "--max-retries out of range".to_owned())?,
-            backoff_cycles: args.get_usize("backoff-cycles", 64)? as u64,
-            watchdog_cycles: args.get_usize("watchdog-cycles", 0)? as u64,
-            fallback_to_host: !args.has("no-fallback"),
-            ..OffloadPolicy::default()
-        },
+        policy,
     };
     let host_build = benchmark.build(&ulp_offload::host_env(sys.config()));
     let perf_retired_before = ulp_isa::perf::retired_total();
@@ -368,6 +371,7 @@ fn run_serve(
     args: &Args,
     hot: ulp_kernels::Benchmark,
     cfg: &HetSystemConfig,
+    policy: OffloadPolicy,
     soak: bool,
 ) -> Result<(), String> {
     use ulp_kernels::Benchmark;
@@ -401,15 +405,10 @@ fn run_serve(
         late_eoc_rate: cfg.fault.late_eoc_rate,
         late_eoc_cycles: cfg.fault.late_eoc_cycles,
     };
-    let watchdog_cycles = args.get_usize("watchdog-cycles", 0)? as u64;
     let chaos = ChaosConfig {
         seed: cfg.fault.seed,
         profiles: vec![profile],
-        max_retries: u32::try_from(args.get_usize("max-retries", 3)?)
-            .map_err(|_| "--max-retries out of range".to_owned())?,
-        backoff_cycles: args.get_usize("backoff-cycles", 64)? as u64,
-        watchdog_ns: (watchdog_cycles as f64 * 1e9 / cfg.pulp_freq_hz).round() as u64,
-        fallback_to_host: !args.has("no-fallback"),
+        policy,
     };
 
     let trace_file = args.get("trace").map(str::to_owned);
@@ -423,7 +422,7 @@ fn run_serve(
     };
 
     let env = ulp_offload::cluster_env(cfg);
-    let book = if chaos.is_active() && chaos.fallback_to_host {
+    let book = if chaos.is_active() && policy.fallback_to_host {
         CostBook::measure_with_host(&env, &ulp_offload::host_env(cfg), cfg, &Benchmark::ALL)
     } else {
         CostBook::measure(&env, cfg, &Benchmark::ALL)

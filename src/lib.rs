@@ -61,8 +61,8 @@ pub mod prelude {
     pub use ulp_mcu::{datasheet, Mcu, McuDevice};
     pub use ulp_offload::{
         envelope_speedup, FaultConfig, HetSystem, HetSystemConfig, OffloadOptions, OffloadPolicy,
-        OffloadQueue, OffloadReport, Overlap, PipelineConfig, PowerBudget, QueueReport,
-        ResilienceStats, TargetRegion,
+        OffloadReport, Overlap, PipelineConfig, PowerBudget, QueueReport, ResilienceStats,
+        TargetRegion,
     };
     pub use ulp_power::PulpPowerModel;
 }

@@ -7,7 +7,7 @@
 //! tenant from a hot tenant at 10× its offered load.
 
 use ulp_kernels::Benchmark;
-use ulp_offload::{HetSystemConfig, PipelineConfig};
+use ulp_offload::{HetSystemConfig, OffloadPolicy, PipelineConfig};
 use ulp_serve::{
     BatchPolicy, CostBook, ServeConfig, ServePool, TenantLoad, TenantSpec, WorkloadSpec,
 };
@@ -281,7 +281,10 @@ fn fifo_discipline_matches_golden() {
             .expect("FIFO pool must run")
     };
     let chaos = ChaosConfig {
-        max_retries: 1,
+        policy: OffloadPolicy {
+            max_retries: 1,
+            ..OffloadPolicy::default()
+        },
         ..ChaosConfig::uniform(
             0xC4A0,
             FaultProfile {
