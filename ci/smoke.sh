@@ -49,7 +49,10 @@ if [ "$STAGE" = all ]; then
 
 echo "== figures smoke =="
 cargo run --release -q -p ulp-bench --bin table1 > /dev/null
-cargo run --release -q -p ulp-bench --bin faults > /dev/null
+# The faults study pins the offload-side recovery (retries, backoff,
+# watchdog, host fallback).
+cargo run --release -q -p ulp-bench --bin faults > "$SCRATCH/faults_table.txt"
+golden faults_table tests/golden/faults_table.txt "$SCRATCH/faults_table.txt"
 
 echo "== trace smoke =="
 cargo run --release -q -p ulp-tools --bin het-sim -- \
