@@ -54,6 +54,31 @@ cargo run --release -q -p ulp-bench --bin table1 > /dev/null
 cargo run --release -q -p ulp-bench --bin faults > "$SCRATCH/faults_table.txt"
 golden faults_table tests/golden/faults_table.txt "$SCRATCH/faults_table.txt"
 
+echo "== offload fault smoke =="
+# het-sim's offload mode under injected faults: retries absorb a noisy,
+# lossy link; a stuck end-of-computation wire falls back to the host;
+# and an injector whose faults never fire leaves a pipelined offload's
+# ledger exactly as the fault-free run prints it.
+cargo run --release -q -p ulp-tools --bin het-sim -- \
+  --benchmark matmul --iterations 8 --ber 1e-5 --drop-rate 0.02 --fault-seed 3 \
+  | tee "$ARTIFACTS/faults-retry.out"
+grep -q 'resilience (seed 3):' "$ARTIFACTS/faults-retry.out"
+grep -q '  16 retransmissions,' "$ARTIFACTS/faults-retry.out"
+cargo run --release -q -p ulp-tools --bin het-sim -- \
+  --benchmark cnn --iterations 4 --stuck-eoc | tee "$ARTIFACTS/faults-stuck.out"
+grep -q 'FELL BACK TO HOST for 4 iterations' "$ARTIFACTS/faults-stuck.out"
+offload_block() {
+  sed -n '/^offload (/,/compute-phase platform power/p' "$1"
+}
+cargo run --release -q -p ulp-tools --bin het-sim -- \
+  --benchmark cnn --iterations 8 --pipeline > "$SCRATCH/pipe-clean.out"
+cargo run --release -q -p ulp-tools --bin het-sim -- \
+  --benchmark cnn --iterations 8 --pipeline --ber 1e-18 > "$SCRATCH/pipe-ber.out"
+offload_block "$SCRATCH/pipe-clean.out" > "$SCRATCH/pipe-clean.block"
+offload_block "$SCRATCH/pipe-ber.out" > "$SCRATCH/pipe-ber.block"
+grep -q 'compute-phase platform power' "$SCRATCH/pipe-clean.block"
+golden pipelined_fault_ledger "$SCRATCH/pipe-clean.block" "$SCRATCH/pipe-ber.block"
+
 echo "== trace smoke =="
 cargo run --release -q -p ulp-tools --bin het-sim -- \
   --benchmark matmul --iterations 4 --double-buffer \

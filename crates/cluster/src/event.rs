@@ -76,12 +76,6 @@ impl EventUnit {
         }
     }
 
-    /// How many cores are currently waiting at the barrier.
-    #[must_use]
-    pub fn waiting(&self) -> usize {
-        self.arrived.iter().filter(|t| t.is_some()).count()
-    }
-
     /// Barriers completed since the last reset (PMU).
     #[must_use]
     pub fn barriers_completed(&self) -> u64 {
@@ -118,9 +112,9 @@ mod tests {
         let mut eu = EventUnit::new(3);
         assert_eq!(eu.barrier_arrive(0, 100), None);
         assert_eq!(eu.barrier_arrive(2, 250), None);
-        assert_eq!(eu.waiting(), 2);
+        assert_eq!(eu.arrived.iter().flatten().count(), 2);
         assert_eq!(eu.barrier_arrive(1, 180), Some(250));
-        assert_eq!(eu.waiting(), 0);
+        assert_eq!(eu.arrived.iter().flatten().count(), 0);
         assert_eq!(eu.barriers_completed(), 1);
     }
 

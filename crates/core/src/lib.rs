@@ -62,8 +62,9 @@ pub use pipeline::{PipelineConfig, DEFAULT_CHUNK_BYTES, DEFAULT_WINDOW, MIN_CHUN
 pub use platform::{cluster_env, config_at_vdd, config_from_platform, host_env};
 pub use region::{MapClause, MapDir, TargetRegion};
 pub use system::{
-    HetSystem, HetSystemConfig, HostReport, JobPrice, LinkClocking, OffloadCost, OffloadError,
-    OffloadOptions, OffloadPolicy, OffloadReport, PlannedJob, QueueReport, ResilienceStats,
+    FrameDelivery, HetSystem, HetSystemConfig, HostReport, JobPrice, LinkClocking, OffloadCost,
+    OffloadError, OffloadOptions, OffloadPolicy, OffloadReport, PlannedJob, QueueReport,
+    ResilienceStats,
 };
 // Re-exported so offload users can configure fault injection without
 // depending on ulp-link directly, and the overlap accounting the

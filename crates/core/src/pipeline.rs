@@ -9,8 +9,8 @@
 //! * `map(to/from)` payloads are split into chunks of
 //!   [`PipelineConfig::chunk_bytes`];
 //! * chunks stream through a bounded ring of staging slots
-//!   ([`PipelineConfig::window`] deep, matching the sliding-window depth
-//!   of the link protocol), so the QSPI shift of chunk *k+1* overlaps the
+//!   ([`PipelineConfig::window`] deep, at most [`ulp_link::MAX_WINDOW`]
+//!   chunks unacknowledged), so the QSPI shift of chunk *k+1* overlaps the
 //!   cluster-DMA move of chunk *k*;
 //! * TCDM input/output buffers are double-buffered across iterations (the
 //!   event unit hands a filled buffer set to the cores while the DMA
@@ -35,7 +35,7 @@ use ulp_trace::Overlap;
 /// header stays below 2% overhead.
 pub const DEFAULT_CHUNK_BYTES: usize = 512;
 
-/// Default staging-ring depth (also the link sliding-window depth).
+/// Default staging-ring depth.
 pub const DEFAULT_WINDOW: usize = 4;
 
 /// Smallest accepted chunk: below this the per-chunk frame header
@@ -51,8 +51,8 @@ pub struct PipelineConfig {
     /// Transfer chunk size in bytes (clamped to at least
     /// [`MIN_CHUNK_BYTES`]).
     pub chunk_bytes: usize,
-    /// Staging-ring depth / link sliding-window size (clamped to
-    /// `1..=`[`ulp_link::MAX_WINDOW`]).
+    /// Staging-ring depth: how many chunks the link may run ahead of the
+    /// cluster DMA (clamped to `1..=`[`ulp_link::MAX_WINDOW`]).
     pub window: usize,
 }
 
@@ -85,27 +85,18 @@ impl PipelineConfig {
             window: self.window.clamp(1, ulp_link::MAX_WINDOW),
         }
     }
+
+    /// Payload lengths of the frames a `len`-byte `map` payload crosses
+    /// the link in: `chunk_bytes` chunks when enabled, one frame when
+    /// not, and none for an empty payload.
+    pub(crate) fn frame_lens(self, len: usize) -> Vec<usize> {
+        chunk_lens(len, if self.enabled { self.chunk_bytes } else { len })
+    }
 }
 
 /// Converts model seconds into the engine's integer nanoseconds.
 pub(crate) fn ns(secs: f64) -> u64 {
     (secs * 1e9).round() as u64
-}
-
-/// Total time of the same chunked work done strictly serially — the
-/// baseline the engine's gain is measured against. Only link shifts (or
-/// sensor fills) and compute count: the serialized ledger folds the
-/// cluster-DMA move into the transfer phase, so charging it here would
-/// inflate the baseline and overstate the pipeline's win.
-pub(crate) fn serial_ns(job: &PipelineJob) -> u64 {
-    let per_iter: u64 = job.inputs.iter().map(|c| c.link_ns).sum::<u64>()
-        + job.outputs.iter().map(|c| c.link_ns).sum::<u64>()
-        + job.sensor_ns.unwrap_or(0);
-    let iters = job.iterations.max(1) as u64;
-    job.binary.iter().map(|c| c.link_ns).sum::<u64>()
-        + iters * per_iter
-        + job.compute_cold_ns
-        + (iters - 1) * job.compute_warm_ns
 }
 
 /// Splits a payload into chunk lengths (all `chunk` bytes except a shorter

@@ -58,13 +58,16 @@ pub struct MapClause {
 /// # Example
 ///
 /// ```
-/// use ulp_offload::TargetRegion;
+/// use ulp_offload::{MapDir, TargetRegion};
 /// use ulp_kernels::{Benchmark, TargetEnv};
 ///
 /// let build = Benchmark::MatMul.build(&TargetEnv::pulp_parallel());
 /// let region = TargetRegion::from_kernel(&build);
-/// assert_eq!(region.bytes_to(), 8 * 1024); // A and Bᵀ travel per run
-/// assert_eq!(region.bytes_from(), 4 * 1024); // C comes back
+/// let bytes = |dir| -> usize {
+///     region.maps().iter().filter(|m| m.dir == dir).map(|m| m.len).sum()
+/// };
+/// assert_eq!(bytes(MapDir::To), 8 * 1024); // A and Bᵀ travel per run
+/// assert_eq!(bytes(MapDir::From), 4 * 1024); // C comes back
 /// ```
 #[derive(Clone, Debug)]
 pub struct TargetRegion {
@@ -106,26 +109,6 @@ impl TargetRegion {
         &self.maps
     }
 
-    /// Bytes transferred host → device on **every** kernel execution.
-    #[must_use]
-    pub fn bytes_to(&self) -> usize {
-        self.maps
-            .iter()
-            .filter(|m| m.dir == MapDir::To)
-            .map(|m| m.len)
-            .sum()
-    }
-
-    /// Bytes transferred device → host on every kernel execution.
-    #[must_use]
-    pub fn bytes_from(&self) -> usize {
-        self.maps
-            .iter()
-            .filter(|m| m.dir == MapDir::From)
-            .map(|m| m.len)
-            .sum()
-    }
-
     /// Bytes of the one-time program offload: text + rodata + constant
     /// maps (the paper's Table I "Binary Size" is this quantity).
     #[must_use]
@@ -158,6 +141,16 @@ mod tests {
     use super::*;
     use ulp_kernels::{Benchmark, TargetEnv};
 
+    /// Bytes the region's `dir` clauses move on every kernel execution.
+    fn bytes(region: &TargetRegion, dir: MapDir) -> usize {
+        region
+            .maps()
+            .iter()
+            .filter(|m| m.dir == dir)
+            .map(|m| m.len)
+            .sum()
+    }
+
     #[test]
     fn clauses_follow_buffer_roles() {
         let build = Benchmark::SvmRbf.build(&TargetEnv::pulp_parallel());
@@ -172,8 +165,8 @@ mod tests {
     fn byte_accounting_matches_kernel() {
         let build = Benchmark::MatMul.build(&TargetEnv::pulp_parallel());
         let region = TargetRegion::from_kernel(&build);
-        assert_eq!(region.bytes_to(), build.input_bytes());
-        assert_eq!(region.bytes_from(), build.output_bytes());
+        assert_eq!(bytes(&region, MapDir::To), build.input_bytes());
+        assert_eq!(bytes(&region, MapDir::From), build.output_bytes());
         assert_eq!(region.offload_bytes(), build.offload_binary_bytes());
     }
 
@@ -185,7 +178,8 @@ mod tests {
         assert_eq!(hist.dir, MapDir::Alloc);
         // hist is large; make sure it is not part of any transfer figure.
         assert!(
-            region.bytes_to() + region.bytes_from() < build.buffers.iter().map(|b| b.len).sum()
+            bytes(&region, MapDir::To) + bytes(&region, MapDir::From)
+                < build.buffers.iter().map(|b| b.len).sum()
         );
     }
 

@@ -158,6 +158,62 @@ impl OffloadPolicy {
         self.backoff_cycles
             .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
     }
+
+    /// Walks one frame of `wire_bytes` across the faulty link under this
+    /// policy's retry budget: one injector draw per attempt, a
+    /// retransmission after every failed attempt until the frame gets
+    /// through or `max_retries` retransmissions have failed too.
+    ///
+    /// This is the one frame-recovery walk; the offload runtime and the
+    /// serving layer each price its result in their own units. A lost
+    /// frame costs what a NACKed one does: ACK and NACK ride the 48-bit
+    /// turnaround of the same master-clocked transaction, so the host
+    /// learns of a drop at the same point as of a corruption and no timer
+    /// runs. Retransmission `i` (0-based) therefore costs one frame time
+    /// plus [`backoff_for(i)`](Self::backoff_for), whatever the failure.
+    pub fn deliver(&self, injector: &mut FaultInjector, wire_bytes: usize) -> FrameDelivery {
+        let mut d = FrameDelivery::default();
+        loop {
+            match injector.assess(wire_bytes) {
+                TxOutcome::Delivered => {
+                    d.delivered = true;
+                    return d;
+                }
+                // The CRC aliased: the receiver ACKs corrupt data, and the
+                // damage shows up (if at all) when outputs are verified.
+                TxOutcome::Corrupted { escaped: true } => {
+                    d.delivered = true;
+                    d.escaped = true;
+                    return d;
+                }
+                TxOutcome::Corrupted { escaped: false } | TxOutcome::Truncated => d.detected += 1,
+                TxOutcome::Dropped => d.dropped += 1,
+            }
+            if d.retransmissions == self.max_retries {
+                return d;
+            }
+            d.retransmissions += 1;
+        }
+    }
+}
+
+/// What one frame's walk through [`OffloadPolicy::deliver`] came to.
+/// Every failed attempt is either `detected` or `dropped`, so
+/// `detected + dropped == retransmissions + !delivered`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct FrameDelivery {
+    /// Attempts after the first, at most the policy's `max_retries`.
+    pub retransmissions: u32,
+    /// Failed attempts the receiver caught (CRC mismatch or truncation)
+    /// and answered with a NACK.
+    pub detected: u32,
+    /// Failed attempts that were lost whole.
+    pub dropped: u32,
+    /// The accepted attempt was corrupted, but its damage aliased the
+    /// CRC-16 (probability 2⁻¹⁶ per corrupted frame).
+    pub escaped: bool,
+    /// The frame got through within the retry budget.
+    pub delivered: bool,
 }
 
 /// Error raised by the offload runtime.
@@ -409,8 +465,8 @@ pub struct ResilienceStats {
     /// Corrupted frames whose damage aliased the CRC and went through
     /// undetected (probability 2⁻¹⁶ per corrupted frame).
     pub crc_errors_escaped: u64,
-    /// Frames lost outright (no bytes arrived; the sender timed out
-    /// waiting for the acknowledgement).
+    /// Frames lost outright: no bytes arrived, so no ACK came back, and
+    /// each loss drew a retransmission just as a NACK does.
     pub frames_dropped: u64,
     /// WFE sleeps ended by the watchdog instead of the event wire.
     pub watchdog_trips: u64,
@@ -440,7 +496,7 @@ impl ResilienceStats {
 }
 
 /// Timing and energy breakdown of one offload invocation.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct OffloadReport {
     /// Kernel executions performed.
     pub iterations: usize,
@@ -762,7 +818,7 @@ impl HetSystem {
         let mcu_hz = self.config.mcu_freq_hz;
         let f_pulp = self.config.pulp_freq_hz;
 
-        let (spi_drive_hz, transfer_mcu_hz) = self.link_clocks();
+        let (spi_drive_hz, _) = self.link_clocks();
 
         // Each mapped buffer travels in one Frame (10-byte header).
         let binary_seconds = if include_binary {
@@ -771,11 +827,10 @@ impl HetSystem {
         } else {
             0.0
         };
-        let input_bytes: usize = cost.input_frames.iter().sum();
         let t_in: f64 = if opts.sensor_direct {
             // Inputs stream from the sensor straight into the accelerator
             // memory over the dedicated interface; the link is untouched.
-            input_bytes as f64 / self.config.sensor_bandwidth
+            cost.input_frames.iter().sum::<usize>() as f64 / self.config.sensor_bandwidth
         } else {
             cost.input_frames
                 .iter()
@@ -806,46 +861,7 @@ impl HetSystem {
             0.0
         };
 
-        // ---- energy ledger ----------------------------------------------
-        // Phases the MCU actively drives; with a direct sensor interface
-        // the input phase does not involve the host at all.
-        let mcu_driven_transfers = binary_seconds
-            + if opts.sensor_direct {
-                0.0
-            } else {
-                input_seconds
-            }
-            + output_seconds
-            + sync_seconds;
-        let mcu_compute_phase_power = if opts.host_task {
-            self.config.mcu.run_power_w(mcu_hz)
-        } else {
-            self.config.mcu.sleep_power_w()
-        };
-        let mcu_energy = self.config.mcu.run_power_w(transfer_mcu_hz) * mcu_driven_transfers
-            + mcu_compute_phase_power * compute_seconds;
-        let host_task_cycles = if opts.host_task {
-            (compute_seconds * mcu_hz) as u64
-        } else {
-            0
-        };
-        let pulp_compute_energy =
-            self.config
-                .power
-                .total_power_w(f_pulp, self.config.pulp_vdd, &cost.activity)
-                * compute_seconds;
-        let pulp_idle_energy =
-            self.config.power.leakage_w(self.config.pulp_vdd) * mcu_driven_transfers;
-        let link_data_bytes: usize = if opts.sensor_direct { 0 } else { input_bytes }
-            + cost.output_frames.iter().sum::<usize>();
-        let link_bytes = if include_binary {
-            cost.offload_bytes as f64
-        } else {
-            0.0
-        } + iterations as f64 * link_data_bytes as f64;
-        let link_energy = link_bytes * 8.0 * SpiLink::DEFAULT_ENERGY_PER_BIT;
-
-        OffloadReport {
+        let mut report = OffloadReport {
             iterations,
             binary_seconds,
             input_seconds,
@@ -855,14 +871,71 @@ impl HetSystem {
             overlapped_seconds: legacy_overlap,
             cycles_cold: cost.cycles_cold,
             cycles_warm: cost.cycles_warm,
-            activity: ClusterActivity::default(),
-            mcu_energy_joules: mcu_energy,
-            pulp_energy_joules: pulp_compute_energy + pulp_idle_energy,
-            link_energy_joules: link_energy,
-            host_task_cycles,
-            resilience: ResilienceStats::default(),
-            overlap: Overlap::default(),
-        }
+            ..OffloadReport::default()
+        };
+        self.charge_energy(&mut report, cost, opts, include_binary, iterations);
+        report
+    }
+
+    /// Fills in the energy of `report`'s phase times, the one ledger
+    /// [`HetSystem::predict`] and the fault-aware walk share: the host
+    /// drives every transfer phase and sleeps (or runs its own task)
+    /// through compute, the accelerator leaks while transfers run, and
+    /// the link carries the binary plus `link_iterations` iterations of
+    /// data.
+    fn charge_energy(
+        &self,
+        report: &mut OffloadReport,
+        cost: &OffloadCost,
+        opts: &OffloadOptions,
+        include_binary: bool,
+        link_iterations: usize,
+    ) {
+        let mcu_hz = self.config.mcu_freq_hz;
+        let (_, transfer_mcu_hz) = self.link_clocks();
+        // Phases the MCU actively drives; with a direct sensor interface
+        // the input phase does not involve the host at all.
+        let mcu_driven_transfers = report.binary_seconds
+            + if opts.sensor_direct {
+                0.0
+            } else {
+                report.input_seconds
+            }
+            + report.output_seconds
+            + report.sync_seconds;
+        let mcu_compute_phase_power = if opts.host_task {
+            self.config.mcu.run_power_w(mcu_hz)
+        } else {
+            self.config.mcu.sleep_power_w()
+        };
+        report.mcu_energy_joules = self.config.mcu.run_power_w(transfer_mcu_hz)
+            * mcu_driven_transfers
+            + mcu_compute_phase_power * report.compute_seconds;
+        report.host_task_cycles = if opts.host_task {
+            (report.compute_seconds * mcu_hz) as u64
+        } else {
+            0
+        };
+        let pulp_compute_energy = self.config.power.total_power_w(
+            self.config.pulp_freq_hz,
+            self.config.pulp_vdd,
+            &cost.activity,
+        ) * report.compute_seconds;
+        let pulp_idle_energy =
+            self.config.power.leakage_w(self.config.pulp_vdd) * mcu_driven_transfers;
+        report.pulp_energy_joules = pulp_compute_energy + pulp_idle_energy;
+        let input_bytes: usize = if opts.sensor_direct {
+            0
+        } else {
+            cost.input_frames.iter().sum()
+        };
+        let link_data_bytes = input_bytes + cost.output_frames.iter().sum::<usize>();
+        let link_bytes = if include_binary {
+            cost.offload_bytes as f64
+        } else {
+            0.0
+        } + link_iterations as f64 * link_data_bytes as f64;
+        report.link_energy_joules = link_bytes * 8.0 * SpiLink::DEFAULT_ENERGY_PER_BIT;
     }
 
     /// Converts a measured [`OffloadCost`] into the pipelined engine's
@@ -970,22 +1043,13 @@ impl HetSystem {
         // With the pipelined engine on, every payload crosses the link as
         // a train of chunk frames; the statistics record those frames.
         let pipe = opts.pipeline.normalized();
-        let send_lens = |len: usize| -> Vec<usize> {
-            if pipe.enabled {
-                pipeline::chunk_lens(len, pipe.chunk_bytes)
-            } else if len > 0 {
-                vec![len]
-            } else {
-                Vec::new()
-            }
-        };
 
         // Program offload (binary + constant maps), once per resident
         // kernel.
         let ship_binary =
             opts.force_reload || self.resident_kernel.as_deref() != Some(build.name.as_str());
         if ship_binary {
-            for len in send_lens(cost.offload_bytes) {
+            for len in pipe.frame_lens(cost.offload_bytes) {
                 let _ = self.link.send(len + FRAME_OVERHEAD, mcu_hz);
             }
             let region = TargetRegion::from_kernel(build);
@@ -1005,12 +1069,12 @@ impl HetSystem {
         // Record the per-iteration data transfers in the link statistics.
         for _ in 0..opts.iterations.max(1) {
             for len in &cost.input_frames {
-                for chunk in send_lens(*len) {
+                for chunk in pipe.frame_lens(*len) {
                     let _ = self.link.send(chunk + FRAME_OVERHEAD, mcu_hz);
                 }
             }
             for len in &cost.output_frames {
-                for chunk in send_lens(*len) {
+                for chunk in pipe.frame_lens(*len) {
                     let _ = self.link.receive(chunk + FRAME_OVERHEAD, mcu_hz);
                 }
             }
@@ -1063,98 +1127,93 @@ impl HetSystem {
             .advance_host_epoch(((report.total_seconds() * 1e9) as u64).max(at));
     }
 
-    /// Simulates one frame crossing the faulty link under the retry
-    /// policy. The *first* transmission attempt is part of the healthy
-    /// ledger (charged by the caller, identically to [`HetSystem::predict`]);
-    /// everything here accounts only the recovery surcharge: ACK-timeout
-    /// windows, backoff pauses and retransmissions.
+    /// Walks one frame across the faulty link with
+    /// [`OffloadPolicy::deliver`] and prices its recovery. The *first*
+    /// transmission attempt is part of the healthy ledger (charged by the
+    /// caller, identically to [`HetSystem::predict`]); everything here
+    /// accounts only the surcharge: each retransmission's backoff pause
+    /// and frame time.
     ///
     /// Acknowledgements themselves are free: ACK/NACK ride the existing
     /// 48-bit per-transaction turnaround phase of the full-duplex link.
     fn transport_frame(
         &mut self,
         wire_bytes: usize,
-        spi_drive_hz: f64,
-        run_p: f64,
-        pulp_leak_p: f64,
         policy: &OffloadPolicy,
         res: &mut ResilienceStats,
     ) -> Result<(), OffloadError> {
+        let d = policy.deliver(&mut self.injector, wire_bytes);
+        res.retransmissions += u64::from(d.retransmissions);
+        res.crc_errors_detected += u64::from(d.detected);
+        res.crc_errors_escaped += u64::from(d.escaped);
+        res.frames_dropped += u64::from(d.dropped);
         let mcu_hz = self.config.mcu_freq_hz;
+        let (spi_drive_hz, transfer_mcu_hz) = self.link_clocks();
+        let run_p = self.config.mcu.run_power_w(transfer_mcu_hz);
+        let pulp_leak_p = self.config.power.leakage_w(self.config.pulp_vdd);
         let t_frame = self.link.transfer_seconds(wire_bytes, spi_drive_hz);
         let e_frame = wire_bytes as f64 * 8.0 * SpiLink::DEFAULT_ENERGY_PER_BIT;
-        let mut attempt: u32 = 0;
-        loop {
-            let outcome = self.injector.assess(wire_bytes);
-            if attempt > 0 {
-                // A retransmission: its full frame time and energy are
-                // recovery surcharge.
-                res.retransmissions += 1;
-                res.extra_seconds += t_frame;
-                res.extra_energy_joules += (run_p + pulp_leak_p) * t_frame + e_frame;
-                if self.tracer.is_enabled() {
-                    let at = (self.link.stats().busy_seconds * 1e9) as u64;
-                    self.tracer.emit(
-                        Component::Link,
-                        EventKind::Retry { attempt },
-                        at,
-                        (t_frame * 1e9) as u64,
-                    );
-                }
-            }
-            match outcome {
-                TxOutcome::Delivered => return Ok(()),
-                TxOutcome::Corrupted { escaped: true } => {
-                    // The CRC aliased: the receiver ACKs corrupt data. The
-                    // transport succeeds; the damage shows up (if at all)
-                    // at the output-verification layer.
-                    res.crc_errors_escaped += 1;
-                    return Ok(());
-                }
-                bad => {
-                    match bad {
-                        TxOutcome::Corrupted { .. } | TxOutcome::Truncated => {
-                            res.crc_errors_detected += 1;
-                        }
-                        TxOutcome::Dropped => {
-                            // No bytes arrived, so no NACK either: the
-                            // sender idles one frame time before timing
-                            // out on the missing acknowledgement.
-                            res.frames_dropped += 1;
-                            res.extra_seconds += t_frame;
-                            res.extra_energy_joules += (run_p + pulp_leak_p) * t_frame;
-                        }
-                        TxOutcome::Delivered => unreachable!(),
-                    }
-                    if attempt >= policy.max_retries {
-                        return Err(if policy.max_retries == 0 {
-                            OffloadError::CrcMismatch {
-                                frame_bytes: wire_bytes,
-                            }
-                        } else {
-                            OffloadError::RetriesExhausted {
-                                attempts: attempt + 1,
-                            }
-                        });
-                    }
-                    // Backoff pause before the retransmission: both dies
-                    // idle.
-                    let pause = policy.backoff_for(attempt);
-                    let t_pause = pause as f64 / mcu_hz;
-                    res.backoff_cycles += pause;
-                    res.extra_seconds += t_pause;
-                    res.extra_energy_joules +=
-                        (self.config.mcu.sleep_power_w() + pulp_leak_p) * t_pause;
-                    attempt += 1;
-                }
+        for i in 0..d.retransmissions {
+            // Backoff pause before the retransmission: both dies idle.
+            let pause = policy.backoff_for(i);
+            let t_pause = pause as f64 / mcu_hz;
+            res.backoff_cycles += pause;
+            res.extra_seconds += t_pause;
+            res.extra_energy_joules += (self.config.mcu.sleep_power_w() + pulp_leak_p) * t_pause;
+            // The retransmission: its full frame time and energy.
+            res.extra_seconds += t_frame;
+            res.extra_energy_joules += (run_p + pulp_leak_p) * t_frame + e_frame;
+            if self.tracer.is_enabled() {
+                let at = (self.link.stats().busy_seconds * 1e9) as u64;
+                self.tracer.emit(
+                    Component::Link,
+                    EventKind::Retry { attempt: i + 1 },
+                    at,
+                    (t_frame * 1e9) as u64,
+                );
             }
         }
+        if d.delivered {
+            Ok(())
+        } else if policy.max_retries == 0 {
+            Err(OffloadError::CrcMismatch {
+                frame_bytes: wire_bytes,
+            })
+        } else {
+            Err(OffloadError::RetriesExhausted {
+                attempts: d.retransmissions + 1,
+            })
+        }
+    }
+
+    /// Charges one `len`-byte `map` payload's healthy link time to
+    /// `phase_seconds`, as [`HetSystem::predict`] charges it (one frame),
+    /// then transports the frames it crosses the link in (chunks when
+    /// `pipe` is enabled).
+    fn transport_payload(
+        &mut self,
+        len: usize,
+        pipe: PipelineConfig,
+        policy: &OffloadPolicy,
+        phase_seconds: &mut f64,
+        res: &mut ResilienceStats,
+    ) -> Result<(), OffloadError> {
+        let (spi_drive_hz, _) = self.link_clocks();
+        *phase_seconds += self
+            .link
+            .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz);
+        for chunk in pipe.frame_lens(len) {
+            self.transport_frame(chunk + FRAME_OVERHEAD, policy, res)?;
+        }
+        Ok(())
     }
 
     /// The fault-aware twin of [`HetSystem::predict`]: walks the offload
     /// phase by phase, drawing transport and event-wire outcomes from the
     /// injector. Healthy phases are charged exactly as `predict` charges
-    /// them; every recovery action lands in [`ResilienceStats`] on top.
+    /// them, and the overlap is `predict`'s for the iterations that
+    /// completed; every recovery action lands in [`ResilienceStats`] on
+    /// top.
     fn offload_resilient(
         &mut self,
         cost: &OffloadCost,
@@ -1164,29 +1223,13 @@ impl HetSystem {
     ) -> Result<OffloadReport, OffloadError> {
         let iterations = opts.iterations.max(1);
         let policy = opts.policy;
-        // With the pipelined engine on, every payload becomes a train of
-        // chunk frames; each chunk is transported (and recovered)
-        // individually, exactly as the selective-repeat window does on the
-        // wire.
         let pipe = opts.pipeline.normalized();
-        let chunks_of = |len: usize| -> Vec<usize> {
-            if pipe.enabled {
-                pipeline::chunk_lens(len, pipe.chunk_bytes)
-            } else if len > 0 {
-                vec![len]
-            } else {
-                Vec::new()
-            }
-        };
         let mcu_hz = self.config.mcu_freq_hz;
         let f_pulp = self.config.pulp_freq_hz;
-        let (spi_drive_hz, transfer_mcu_hz) = self.link_clocks();
-        let run_p = self.config.mcu.run_power_w(transfer_mcu_hz);
-        let sleep_p = self.config.mcu.sleep_power_w();
         let mcu_compute_p = if opts.host_task {
             self.config.mcu.run_power_w(mcu_hz)
         } else {
-            sleep_p
+            self.config.mcu.sleep_power_w()
         };
         let pulp_active_p =
             self.config
@@ -1215,16 +1258,15 @@ impl HetSystem {
         let mut failure: Option<OffloadError> = None;
 
         if include_binary {
-            for chunk in chunks_of(cost.offload_bytes) {
-                let wire = chunk + FRAME_OVERHEAD;
-                binary_seconds += self.link.transfer_seconds(wire, spi_drive_hz);
-                if let Err(e) =
-                    self.transport_frame(wire, spi_drive_hz, run_p, pulp_leak_p, &policy, &mut res)
-                {
-                    failure = Some(e);
-                    break;
-                }
-            }
+            failure = self
+                .transport_payload(
+                    cost.offload_bytes,
+                    pipe,
+                    &policy,
+                    &mut binary_seconds,
+                    &mut res,
+                )
+                .err();
         }
 
         'iters: while failure.is_none() && completed < iterations {
@@ -1234,17 +1276,10 @@ impl HetSystem {
                 let input_bytes: usize = cost.input_frames.iter().sum();
                 input_seconds += input_bytes as f64 / self.config.sensor_bandwidth;
             } else {
-                for chunk in cost.input_frames.iter().flat_map(|&len| chunks_of(len)) {
-                    let wire = chunk + FRAME_OVERHEAD;
-                    input_seconds += self.link.transfer_seconds(wire, spi_drive_hz);
-                    if let Err(e) = self.transport_frame(
-                        wire,
-                        spi_drive_hz,
-                        run_p,
-                        pulp_leak_p,
-                        &policy,
-                        &mut res,
-                    ) {
+                for &len in &cost.input_frames {
+                    if let Err(e) =
+                        self.transport_payload(len, pipe, &policy, &mut input_seconds, &mut res)
+                    {
                         failure = Some(e);
                         break 'iters;
                     }
@@ -1322,11 +1357,9 @@ impl HetSystem {
             sync_seconds += 20.0 / mcu_hz;
 
             // -- outputs --------------------------------------------------
-            for chunk in cost.output_frames.iter().flat_map(|&len| chunks_of(len)) {
-                let wire = chunk + FRAME_OVERHEAD;
-                output_seconds += self.link.transfer_seconds(wire, spi_drive_hz);
+            for &len in &cost.output_frames {
                 if let Err(e) =
-                    self.transport_frame(wire, spi_drive_hz, run_p, pulp_leak_p, &policy, &mut res)
+                    self.transport_payload(len, pipe, &policy, &mut output_seconds, &mut res)
                 {
                     failure = Some(e);
                     break 'iters;
@@ -1349,77 +1382,23 @@ impl HetSystem {
             }
         }
 
-        // -- healthy-ledger energy, mirroring `predict` -------------------
-        let mcu_driven_transfers = binary_seconds
-            + if opts.sensor_direct {
-                0.0
-            } else {
-                input_seconds
-            }
-            + output_seconds
-            + sync_seconds;
-        let mcu_energy = run_p * mcu_driven_transfers + mcu_compute_p * compute_seconds;
-        let host_task_cycles = if opts.host_task {
-            (compute_seconds * mcu_hz) as u64
-        } else {
-            0
-        };
-        let pulp_energy = pulp_active_p * compute_seconds + pulp_leak_p * mcu_driven_transfers;
-        let input_bytes: usize = cost.input_frames.iter().sum();
-        let link_data_bytes: usize = if opts.sensor_direct { 0 } else { input_bytes }
-            + cost.output_frames.iter().sum::<usize>();
-        let link_bytes = if include_binary {
-            cost.offload_bytes as f64
-        } else {
-            0.0
-        } + completed as f64 * link_data_bytes as f64;
-        let link_energy = link_bytes * 8.0 * SpiLink::DEFAULT_ENERGY_PER_BIT;
-
-        // Double buffering still hides steady-state transfers behind
-        // compute for the iterations that completed on the device.
-        let legacy_overlap = if opts.double_buffer && completed > 1 {
-            let t_in = if opts.sensor_direct {
-                input_bytes as f64 / self.config.sensor_bandwidth
-            } else {
-                cost.input_frames
-                    .iter()
-                    .map(|len| {
-                        self.link
-                            .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
-                    })
-                    .sum()
+        // Overlap is credited only for the iterations that completed on
+        // the device, as `predict` would credit that many; a run that
+        // completed none hides nothing.
+        let (overlapped_seconds, overlap) = if completed > 0 {
+            let done = OffloadOptions {
+                iterations: completed,
+                ..*opts
             };
-            let t_out: f64 = cost
-                .output_frames
-                .iter()
-                .map(|len| {
-                    self.link
-                        .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
-                })
-                .sum();
-            (t_in + t_out).min(t_warm) * (completed - 1) as f64
+            let healthy = self.predict(cost, &done, include_binary);
+            (healthy.overlapped_seconds, healthy.overlap)
         } else {
-            0.0
-        };
-        // The pipelined engine only claims credit for iterations that
-        // actually completed on the device: its gain is measured against
-        // the serial schedule of that same (chunked) work, so a partially
-        // failed offload can never go overlap-negative.
-        let (overlapped_seconds, overlap) = if pipe.enabled && completed > 0 {
-            let mut jopts = *opts;
-            jopts.iterations = completed;
-            let job = self.pipeline_job(cost, &jopts, include_binary, pipe);
-            let mut sched = Schedule::new(pipe.window);
-            pipeline::schedule_job(&mut sched, &job);
-            let gain = pipeline::serial_ns(&job).saturating_sub(sched.makespan()) as f64 / 1e9;
-            let mut o = sched.overlap();
-            o.engaged = gain > legacy_overlap && gain > 0.0;
-            (legacy_overlap.max(gain), o)
-        } else {
-            (legacy_overlap, Overlap::default())
+            (0.0, Overlap::default())
         };
 
-        Ok(OffloadReport {
+        // The healthy ledger's energy is `predict`'s for these phase
+        // times, with data crossing the link for the completed iterations.
+        let mut report = OffloadReport {
             iterations,
             binary_seconds,
             input_seconds,
@@ -1430,13 +1409,12 @@ impl HetSystem {
             cycles_cold: cost.cycles_cold,
             cycles_warm: cost.cycles_warm,
             activity: cost.activity.clone(),
-            mcu_energy_joules: mcu_energy,
-            pulp_energy_joules: pulp_energy,
-            link_energy_joules: link_energy,
-            host_task_cycles,
             resilience: res,
             overlap,
-        })
+            ..OffloadReport::default()
+        };
+        self.charge_energy(&mut report, cost, opts, include_binary, completed);
+        Ok(report)
     }
 
     /// Runs a host-targeted build on the MCU alone (the comparison
@@ -2026,23 +2004,45 @@ mod tests {
     #[test]
     fn negligible_fault_rates_match_the_healthy_prediction() {
         // An *active* injector whose faults essentially never fire must
-        // converge on the fault-free numbers (same formulas, no events).
+        // converge on the fault-free numbers (same formulas, no events),
+        // chunked and double-buffered or not.
         let build = small_build();
-        let opts = OffloadOptions {
-            iterations: 4,
-            ..Default::default()
-        };
-        let mut plain = HetSystem::new(HetSystemConfig::default());
-        let healthy = plain.offload(&build, &opts).unwrap();
-        let mut sys = HetSystem::new(faulty_config(FaultConfig {
-            seed: 7,
-            bit_error_rate: 1e-18,
-            ..FaultConfig::default()
-        }));
-        let rep = sys.offload(&build, &opts).unwrap();
-        assert_eq!(rep.resilience.retransmissions, 0);
-        assert!((rep.total_seconds() - healthy.total_seconds()).abs() < 1e-12);
-        assert!((rep.total_energy_joules() - healthy.total_energy_joules()).abs() < 1e-15);
+        for pipeline in [PipelineConfig::default(), PipelineConfig::enabled()] {
+            for double_buffer in [false, true] {
+                let opts = OffloadOptions {
+                    iterations: 4,
+                    double_buffer,
+                    pipeline,
+                    ..Default::default()
+                };
+                let ctx = format!(
+                    "pipeline {}, double buffer {double_buffer}",
+                    pipeline.enabled
+                );
+                let mut plain = HetSystem::new(HetSystemConfig::default());
+                let healthy = plain.offload(&build, &opts).unwrap();
+                let mut sys = HetSystem::new(faulty_config(FaultConfig {
+                    seed: 7,
+                    bit_error_rate: 1e-18,
+                    ..FaultConfig::default()
+                }));
+                let rep = sys.offload(&build, &opts).unwrap();
+                assert_eq!(rep.resilience.retransmissions, 0, "{ctx}");
+                assert!(
+                    (rep.total_seconds() - healthy.total_seconds()).abs() < 1e-12,
+                    "{ctx}: {} vs {} s",
+                    rep.total_seconds(),
+                    healthy.total_seconds()
+                );
+                assert!(
+                    (rep.total_energy_joules() - healthy.total_energy_joules()).abs() < 1e-15,
+                    "{ctx}: {} vs {} J",
+                    rep.total_energy_joules(),
+                    healthy.total_energy_joules()
+                );
+                assert_eq!(rep.overlap, healthy.overlap, "{ctx}");
+            }
+        }
     }
 
     #[test]
@@ -2252,6 +2252,78 @@ mod tests {
         let mut plain = HetSystem::new(HetSystemConfig::default());
         let healthy = plain.offload(&build, &opts).unwrap();
         assert!((rep.compute_seconds - healthy.compute_seconds).abs() < 1e-15);
+    }
+
+    /// The shared frame walk accounts every attempt exactly, per frame
+    /// and summed against the injector's own counters, for every retry
+    /// budget and fault mix, and replays from its seed.
+    #[test]
+    fn frame_delivery_accounts_every_attempt_exactly() {
+        // (drop, truncate, bit-error) rates: each fault alone, then mixed.
+        let mixes = [
+            (0.2, 0.0, 0.0),
+            (0.0, 0.2, 0.0),
+            (0.0, 0.0, 5e-4),
+            (0.1, 0.05, 2e-4),
+        ];
+        let mut retransmitted = 0u64;
+        for seed in [0x5EED_0001u64, 0xB10C_0002, 0xFA57_0003] {
+            for max_retries in 0..=4 {
+                let policy = OffloadPolicy {
+                    max_retries,
+                    ..OffloadPolicy::default()
+                };
+                for (drop_rate, truncate_rate, bit_error_rate) in mixes {
+                    let fault = FaultConfig {
+                        seed,
+                        drop_rate,
+                        truncate_rate,
+                        bit_error_rate,
+                        ..FaultConfig::default()
+                    };
+                    let walk = || {
+                        let mut inj = FaultInjector::new(fault);
+                        let frames: Vec<FrameDelivery> = (0..1_000)
+                            .map(|i| policy.deliver(&mut inj, 16 + i % 512))
+                            .collect();
+                        (frames, *inj.stats())
+                    };
+                    let (frames, stats) = walk();
+                    let ctx = format!("seed {seed:#x}, max_retries {max_retries}, {fault:?}");
+                    let (mut attempts, mut dropped, mut detected, mut escaped) = (0, 0, 0, 0);
+                    for d in &frames {
+                        assert!(d.retransmissions <= max_retries, "{ctx}: {d:?}");
+                        assert!(
+                            d.delivered || d.retransmissions == max_retries,
+                            "{ctx}: {d:?}"
+                        );
+                        assert_eq!(
+                            d.detected + d.dropped,
+                            d.retransmissions + u32::from(!d.delivered),
+                            "{ctx}: {d:?}"
+                        );
+                        attempts += u64::from(d.retransmissions) + 1;
+                        dropped += u64::from(d.dropped);
+                        detected += u64::from(d.detected);
+                        escaped += u64::from(d.escaped);
+                        retransmitted += u64::from(d.retransmissions);
+                    }
+                    assert_eq!(attempts, stats.frames, "{ctx}");
+                    assert_eq!(dropped, stats.frames_dropped, "{ctx}");
+                    assert_eq!(
+                        detected,
+                        stats.frames_truncated + stats.frames_corrupted - stats.crc_escapes,
+                        "{ctx}"
+                    );
+                    assert_eq!(escaped, stats.crc_escapes, "{ctx}");
+                    assert_eq!(walk(), (frames, stats), "{ctx}: replay diverged");
+                }
+            }
+        }
+        assert!(
+            retransmitted > 10_000,
+            "the battery barely faulted ({retransmitted} retransmissions)"
+        );
     }
 
     #[test]

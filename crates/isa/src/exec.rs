@@ -406,12 +406,6 @@ impl Core {
         self.trace_cap = cap;
     }
 
-    /// Stops recording and discards the trace.
-    pub fn disable_trace(&mut self) {
-        self.trace = None;
-        self.trace_cap = 0;
-    }
-
     /// The recorded trace (empty when tracing is disabled).
     #[must_use]
     pub fn trace(&self) -> &[TraceEntry] {
@@ -2043,8 +2037,11 @@ mod tests {
         capped.reset(0);
         capped.run(&mut mem, 1000).unwrap();
         assert_eq!(capped.trace().len(), 2);
-        capped.disable_trace();
-        assert!(capped.trace().is_empty());
+        // A core that never enabled tracing records nothing.
+        let mut untraced = Core::new(0, CoreModel::or10n());
+        untraced.reset(0);
+        untraced.run(&mut mem, 1000).unwrap();
+        assert!(untraced.trace().is_empty());
     }
 
     #[test]

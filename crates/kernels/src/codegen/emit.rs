@@ -114,20 +114,6 @@ pub fn counted_loop(
     }
 }
 
-/// [`counted_loop`] with a compile-time trip count loaded into `count_reg`.
-pub fn counted_loop_const(
-    a: &mut Asm,
-    env: &TargetEnv,
-    hw_idx: u8,
-    n: u32,
-    count_reg: Reg,
-    scratch: Reg,
-    body: impl FnOnce(&mut Asm),
-) {
-    a.li(count_reg, n as i32);
-    counted_loop(a, env, hw_idx, count_reg, scratch, body);
-}
-
 /// Emits a loop over `start..end` register range: `idx` runs from `start`
 /// (inclusive) to `end` (exclusive). Software loop only (range loops drive
 /// outer dimensions where the HW loop's fixed count does not fit).
@@ -209,17 +195,6 @@ pub fn index_loop(a: &mut Asm, idx: Reg, tmp: Reg, n: u32, body: impl FnOnce(&mu
     a.blt(idx, tmp, top);
 }
 
-/// Loads `rd = mem[base + idx*scale]` address computation: `rd = base +
-/// (idx << log2_scale)` using `rd` as its own scratch.
-pub fn addr_of(a: &mut Asm, rd: Reg, base: Reg, idx: Reg, log2_scale: u8) {
-    if log2_scale == 0 {
-        a.add(rd, base, idx);
-    } else {
-        a.slli(rd, idx, log2_scale);
-        a.add(rd, rd, base);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,7 +220,8 @@ mod tests {
         for env in [TargetEnv::baseline(), TargetEnv::pulp_single()] {
             let (core, _) = run_serial(&env, |a| {
                 a.li(R10, 0);
-                counted_loop_const(a, &env, 0, 17, R1, R2, |a| {
+                a.li(R1, 17);
+                counted_loop(a, &env, 0, R1, R2, |a| {
                     a.addi(R10, R10, 3);
                     a.nop();
                 });
@@ -259,7 +235,8 @@ mod tests {
         for env in [TargetEnv::baseline(), TargetEnv::pulp_single()] {
             let (core, _) = run_serial(&env, |a| {
                 a.li(R10, 7);
-                counted_loop_const(a, &env, 0, 0, R1, R2, |a| {
+                a.li(R1, 0);
+                counted_loop(a, &env, 0, R1, R2, |a| {
                     a.li(R10, 999);
                     a.nop();
                 });
@@ -278,9 +255,11 @@ mod tests {
         for env in [TargetEnv::baseline(), TargetEnv::pulp_single()] {
             let (core, _) = run_serial(&env, |a| {
                 a.li(R10, 0);
-                counted_loop_const(a, &env, 1, 5, R1, R2, |a| {
+                a.li(R1, 5);
+                counted_loop(a, &env, 1, R1, R2, |a| {
                     a.nop();
-                    counted_loop_const(a, &env, 0, 3, R3, R4, |a| {
+                    a.li(R3, 3);
+                    counted_loop(a, &env, 0, R3, R4, |a| {
                         a.addi(R10, R10, 1);
                         a.nop();
                     });
@@ -467,18 +446,5 @@ mod tests {
     fn dynamic_schedule_correct_on_single_core() {
         let env = TargetEnv::pulp_single();
         crate::runner::run(&imbalanced_build(&env, true, 16, 8), &env).unwrap();
-    }
-
-    #[test]
-    fn addr_of_scales() {
-        let env = TargetEnv::baseline();
-        let (core, _) = run_serial(&env, |a| {
-            a.li(R11, 0x1000);
-            a.li(R12, 5);
-            addr_of(a, R10, R11, R12, 2);
-            addr_of(a, R13, R11, R12, 0);
-        });
-        assert_eq!(core.reg(R10), 0x1000 + 20);
-        assert_eq!(core.reg(R13), 0x1000 + 5);
     }
 }

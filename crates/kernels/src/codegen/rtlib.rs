@@ -9,7 +9,7 @@
 //! * [`emit_mul64`] / [`emit_mac64`] — signed 64-bit multiply
 //!   (-accumulate): one `mull`/`mlal` instruction on `mul64` targets, a
 //!   ~25-instruction 16-bit partial-product sequence elsewhere;
-//! * [`emit_add64`] / [`emit_sub64`] — carry-propagating pair arithmetic;
+//! * [`emit_add64`] — carry-propagating pair addition;
 //! * [`Rtlib`] subroutines `udiv32` (restoring division) and `isqrt64`
 //!   (bit-by-bit square root), shared across call sites via `jal`.
 
@@ -116,15 +116,6 @@ pub fn emit_add64(a: &mut Asm, hi: Reg, lo: Reg, add_hi: Reg, add_lo: Reg, tmp: 
     a.insn(Insn::Sltu(tmp, lo, add_lo)); // carry out
     a.add(hi, hi, add_hi);
     a.add(hi, hi, tmp);
-}
-
-/// Emits `hi:lo -= sub_hi:sub_lo` with borrow (4 instructions).
-pub fn emit_sub64(a: &mut Asm, hi: Reg, lo: Reg, sub_hi: Reg, sub_lo: Reg, tmp: Reg) {
-    assert_distinct(&[hi, lo, sub_lo, tmp]);
-    a.insn(Insn::Sltu(tmp, lo, sub_lo)); // borrow
-    a.sub(lo, lo, sub_lo);
-    a.sub(hi, hi, sub_hi);
-    a.sub(hi, hi, tmp);
 }
 
 /// Emits an arithmetic shift right of the pair `hi:lo` by a constant
@@ -429,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn add64_sub64_carry_chains() {
+    fn add64_carry_chains() {
         let env = TargetEnv::baseline();
         let core = run(&env, |a| {
             // acc = 0x00000001_FFFFFFFF; add 0x0_00000001 -> 0x2_00000000
@@ -438,12 +429,10 @@ mod tests {
             a.li(R22, 0);
             a.li(R23, 1);
             emit_add64(a, R20, R21, R22, R23, R10);
-            // now subtract 1 -> back to 0x1_FFFFFFFF
-            emit_sub64(a, R20, R21, R22, R23, R10);
             a.halt();
         });
-        assert_eq!(core.reg(R20), 1);
-        assert_eq!(core.reg(R21), 0xFFFF_FFFF);
+        assert_eq!(core.reg(R20), 2);
+        assert_eq!(core.reg(R21), 0);
     }
 
     #[test]

@@ -40,7 +40,9 @@ pub struct FaultConfig {
     /// Per-bit flip probability on the serial data lines.
     pub bit_error_rate: f64,
     /// Probability a whole frame is lost (chip-select glitch, DMA
-    /// underrun). The receiver never answers; the sender times out.
+    /// underrun). No bytes arrive, so no ACK comes back in the
+    /// transaction's turnaround; the sender sees that where it would see
+    /// a NACK and retransmits.
     pub drop_rate: f64,
     /// Probability a frame is cut short mid-transfer.
     pub truncate_rate: f64,
@@ -125,7 +127,8 @@ pub enum TxOutcome {
     },
     /// The frame was cut short; the receiver sees a truncation / CRC error.
     Truncated,
-    /// The frame vanished entirely; the sender must time out.
+    /// The frame vanished entirely; the missing ACK draws a
+    /// retransmission, as a NACK does.
     Dropped,
 }
 

@@ -118,13 +118,6 @@ impl SpiLink {
         mcu_hz / f64::from(self.prescaler)
     }
 
-    /// Payload bandwidth in bytes per second (ignoring per-transaction
-    /// overhead).
-    #[must_use]
-    pub fn bandwidth_bytes_per_sec(&self, mcu_hz: f64) -> f64 {
-        self.clock_hz(mcu_hz) * f64::from(self.width.bits_per_clock()) / 8.0
-    }
-
     /// Wall-clock seconds to move `bytes` of payload in one transaction at
     /// the given MCU frequency (includes the protocol overhead bits).
     #[must_use]
@@ -217,9 +210,9 @@ mod tests {
     fn quad_is_four_times_single() {
         let s = SpiLink::new(SpiWidth::Single, 2);
         let q = SpiLink::new(SpiWidth::Quad, 2);
-        let bw_s = s.bandwidth_bytes_per_sec(16.0e6);
-        let bw_q = q.bandwidth_bytes_per_sec(16.0e6);
-        assert!((bw_q / bw_s - 4.0).abs() < 1e-9);
+        let t_s = s.transfer_seconds(4096, 16.0e6);
+        let t_q = q.transfer_seconds(4096, 16.0e6);
+        assert!((t_s / t_q - 4.0).abs() < 1e-9);
     }
 
     #[test]

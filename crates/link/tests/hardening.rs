@@ -2,16 +2,8 @@
 //! channel delivers — truncations, random corruption, length-field lies,
 //! pure noise — the parser must return a [`FrameError`], never panic and
 //! never allocate beyond the input buffer.
-//!
-//! The second half hardens the [`SlidingWindow`] the pipelined offload
-//! engine rides on: seeded drops, bit errors and truncations striking
-//! mid-window must converge through selective-repeat retries, delivering
-//! bit-identical frames in order, with every retry accounted for exactly.
 
-use ulp_link::{
-    crc16, FaultConfig, FaultInjector, Frame, FrameError, SlidingWindow, WindowStats,
-    FRAME_OVERHEAD, MAX_WINDOW,
-};
+use ulp_link::{crc16, Frame, FrameError, FRAME_OVERHEAD};
 use ulp_rng::gen::byte_vec;
 use ulp_rng::XorShiftRng;
 
@@ -145,209 +137,4 @@ fn roundtrip_survives_the_mutation_campaign_when_unmutated() {
             assert_eq!(got, frame);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Sliding-window fault regressions
-// ---------------------------------------------------------------------------
-
-/// A batch of chunk-shaped Write frames, the traffic the pipelined offload
-/// engine pushes through the window.
-fn window_batch(rng: &mut XorShiftRng, n: usize) -> Vec<Frame> {
-    (0..n)
-        .map(|i| Frame::Write {
-            addr: 0x1000_0000 + (i as u32) * 0x200,
-            data: byte_vec(rng, 1..=256),
-        })
-        .collect()
-}
-
-/// The exact-accounting invariants of one `deliver` run, cross-checked
-/// against the injector's own fault counters:
-///
-/// - every attempt is the frame's first transmission or a retransmission;
-/// - every retransmission was caused by exactly one bad outcome (a drop,
-///   a truncation, or a receiver reject) — selective repeat never resends
-///   an acknowledged frame;
-/// - the sender's drop/truncate counts match what the injector says it
-///   did to the wire, and every corrupted frame either drew a reject or
-///   slipped through as `delivered_corrupt`.
-fn assert_exact_accounting(stats: &WindowStats, inj: &FaultInjector, ctx: &str) {
-    assert_eq!(
-        stats.transmissions,
-        stats.frames + stats.retransmissions,
-        "{ctx}: {stats:?}"
-    );
-    assert_eq!(
-        stats.retransmissions,
-        stats.dropped + stats.truncated + stats.rejected,
-        "{ctx}: {stats:?}"
-    );
-    let f = inj.stats();
-    assert_eq!(
-        stats.transmissions, f.frames,
-        "{ctx}: injector saw a different frame count"
-    );
-    assert_eq!(stats.dropped, f.frames_dropped, "{ctx}");
-    assert_eq!(stats.truncated, f.frames_truncated, "{ctx}");
-    assert_eq!(
-        stats.rejected + stats.delivered_corrupt,
-        f.frames_corrupted,
-        "{ctx}: every corrupted frame must be rejected or flagged delivered_corrupt"
-    );
-}
-
-/// Seeded drops, bit errors and truncations striking mid-window all
-/// converge through retries at every window size: the receiver ends up
-/// with the input frames, bit-identical and in order, and every retry is
-/// accounted for exactly.
-#[test]
-fn sliding_window_converges_under_mixed_faults_with_exact_accounting() {
-    let faulty = |seed| FaultConfig {
-        seed,
-        drop_rate: 0.08,
-        truncate_rate: 0.05,
-        bit_error_rate: 2e-4,
-        ..FaultConfig::default()
-    };
-    let mut total_retries = 0u64;
-    for window in 1..=MAX_WINDOW {
-        for seed in [0x5EED_0001u64, 0xB10C_0002, 0xFA57_0003] {
-            let mut rng = XorShiftRng::seed_from_u64(seed ^ window as u64);
-            let frames = window_batch(&mut rng, 32);
-            let mut win = SlidingWindow::new(window);
-            let mut inj = FaultInjector::new(faulty(seed));
-            let ctx = format!("window {window}, seed {seed:#x}");
-            let (got, stats) = win
-                .deliver(&frames, &mut inj, 64)
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_eq!(got.len(), frames.len(), "{ctx}: frame count");
-            if stats.delivered_corrupt == 0 {
-                assert_eq!(
-                    got, frames,
-                    "{ctx}: delivery must be bit-identical and in order"
-                );
-            }
-            assert!(stats.max_in_flight <= window, "{ctx}: {stats:?}");
-            assert_exact_accounting(&stats, &inj, &ctx);
-            total_retries += stats.retransmissions;
-        }
-    }
-    assert!(
-        total_retries > 50,
-        "the campaign barely faulted ({total_retries} retries)"
-    );
-}
-
-/// A window of one degenerates to stop-and-wait: never more than one
-/// frame unacknowledged, even while faults force retries.
-#[test]
-fn window_of_one_is_stop_and_wait() {
-    let mut rng = XorShiftRng::seed_from_u64(0x0A11);
-    let frames = window_batch(&mut rng, 24);
-    let mut win = SlidingWindow::new(1);
-    let mut inj = FaultInjector::new(FaultConfig {
-        seed: 0x0A11,
-        drop_rate: 0.15,
-        bit_error_rate: 1e-4,
-        ..FaultConfig::default()
-    });
-    let (got, stats) = win.deliver(&frames, &mut inj, 64).unwrap();
-    assert_eq!(stats.max_in_flight, 1, "{stats:?}");
-    assert!(stats.retransmissions > 0, "faults never struck: {stats:?}");
-    if stats.delivered_corrupt == 0 {
-        assert_eq!(got, frames);
-    }
-    assert_exact_accounting(&stats, &inj, "stop-and-wait");
-}
-
-/// Bit errors alone (no drops, no truncations) surface purely as receiver
-/// rejects — the CRC path the byte-mutation campaign hardens — and every
-/// reject costs exactly one retransmission.
-#[test]
-fn bit_errors_mid_window_draw_rejects_and_converge() {
-    let mut rng = XorShiftRng::seed_from_u64(0xBE55);
-    let frames = window_batch(&mut rng, 48);
-    let mut win = SlidingWindow::new(4);
-    let mut inj = FaultInjector::new(FaultConfig {
-        seed: 0xBE55,
-        bit_error_rate: 5e-4,
-        ..FaultConfig::default()
-    });
-    let (got, stats) = win.deliver(&frames, &mut inj, 64).unwrap();
-    assert_eq!(stats.dropped, 0);
-    assert_eq!(stats.truncated, 0);
-    assert!(
-        stats.rejected > 0,
-        "no corruption at this error rate: {stats:?}"
-    );
-    assert_eq!(stats.retransmissions, stats.rejected);
-    if stats.delivered_corrupt == 0 {
-        assert_eq!(got, frames);
-    }
-    assert_exact_accounting(&stats, &inj, "bit errors");
-}
-
-/// Retry accounting is deterministic: the same seed replays the same
-/// faults, the same retries and the same delivered bytes, so a fault
-/// trace from one run reproduces exactly on the next.
-#[test]
-fn window_fault_accounting_is_deterministic_per_seed() {
-    let run = || {
-        let mut rng = XorShiftRng::seed_from_u64(0xD00D);
-        let frames = window_batch(&mut rng, 32);
-        let mut win = SlidingWindow::new(6);
-        let mut inj = FaultInjector::new(FaultConfig {
-            seed: 0xD00D,
-            drop_rate: 0.1,
-            truncate_rate: 0.05,
-            bit_error_rate: 3e-4,
-            ..FaultConfig::default()
-        });
-        let (got, stats) = win.deliver(&frames, &mut inj, 64).unwrap();
-        (got, stats)
-    };
-    let (got_a, stats_a) = run();
-    let (got_b, stats_b) = run();
-    assert_eq!(stats_a, stats_b, "fault replay diverged");
-    assert_eq!(got_a, got_b, "delivered bytes diverged");
-}
-
-/// Faults striking while the window is partially acknowledged must not
-/// desynchronize the sequence space across `deliver` calls: a chunked
-/// offload issues one call per transfer, and the 4-bit numbers keep
-/// wrapping correctly batch after batch.
-#[test]
-fn faults_mid_window_keep_sequence_continuity_across_batches() {
-    let mut rng = XorShiftRng::seed_from_u64(0x5EC5);
-    let mut win = SlidingWindow::new(8);
-    let mut inj = FaultInjector::new(FaultConfig {
-        seed: 0x5EC5,
-        drop_rate: 0.1,
-        truncate_rate: 0.04,
-        bit_error_rate: 2e-4,
-        ..FaultConfig::default()
-    });
-    let mut summed = WindowStats::default();
-    for batch in 0..12 {
-        let frames = window_batch(&mut rng, 5 + batch % 7);
-        let (got, stats) = win
-            .deliver(&frames, &mut inj, 64)
-            .unwrap_or_else(|e| panic!("batch {batch}: {e}"));
-        assert_eq!(got.len(), frames.len(), "batch {batch}");
-        if stats.delivered_corrupt == 0 {
-            assert_eq!(got, frames, "batch {batch}: order or payload corrupted");
-        }
-        summed.frames += stats.frames;
-        summed.transmissions += stats.transmissions;
-        summed.retransmissions += stats.retransmissions;
-        summed.dropped += stats.dropped;
-        summed.truncated += stats.truncated;
-        summed.rejected += stats.rejected;
-        summed.delivered_corrupt += stats.delivered_corrupt;
-    }
-    // The cumulative ledger still reconciles against the injector, which
-    // saw every transmission of every batch.
-    assert!(summed.retransmissions > 0, "the campaign never faulted");
-    assert_exact_accounting(&summed, &inj, "12-batch campaign");
 }

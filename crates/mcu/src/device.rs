@@ -86,12 +86,6 @@ impl McuDevice {
         self.sleep_a * self.vdd
     }
 
-    /// Energy for `cycles` core cycles at `freq_hz`, in joules.
-    #[must_use]
-    pub fn run_energy_joules(&self, cycles: u64, freq_hz: f64) -> f64 {
-        self.run_power_w(freq_hz) * (cycles as f64 / freq_hz)
-    }
-
     /// Effective cycle count for this device given a simulated cycle count
     /// from its [`HostCoreKind::core_model`].
     #[must_use]
@@ -318,7 +312,7 @@ mod tests {
     fn energy_example() {
         let d = datasheet::stm32l476();
         // 32 M cycles at 32 MHz = 1 s at ~9.6 mW.
-        let e = d.run_energy_joules(32_000_000, 32.0e6);
+        let e = d.run_power_w(32.0e6) * (32_000_000.0 / 32.0e6);
         assert!((e - 9.6e-3).abs() < 1e-4);
     }
 }

@@ -303,7 +303,7 @@ mod tests {
     fn energy_consistent_with_device_model() {
         let mut mcu = Mcu::new(datasheet::stm32l476(), 32.0e6);
         let run = mcu.run_program(&sum_prog(), &[]).unwrap();
-        let expect = mcu.device().run_energy_joules(run.cycles, 32.0e6);
+        let expect = mcu.device().run_power_w(32.0e6) * (run.cycles as f64 / 32.0e6);
         assert!((run.energy_joules - expect).abs() < 1e-15);
     }
 }

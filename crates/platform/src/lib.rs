@@ -156,16 +156,6 @@ impl PlatformSpec {
             })
             .collect()
     }
-
-    /// Index of the default operating point within
-    /// [`PlatformSpec::operating_points`].
-    #[must_use]
-    pub fn default_op_index(&self) -> usize {
-        self.vdd_points
-            .iter()
-            .position(|&v| v == self.default_vdd)
-            .expect("validated: default_vdd is a ladder member")
-    }
 }
 
 /// A platform-file problem, located by file, line, and field.

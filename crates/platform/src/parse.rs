@@ -750,7 +750,7 @@ default_vdd = 0.65
             spec.power.fmax_hz(0.65).to_bits(),
             PulpPowerModel::pulp3().fmax_hz(0.65).to_bits()
         );
-        assert_eq!(spec.default_op_index(), 1);
+        assert_eq!(spec.operating_points()[1].vdd, spec.default_vdd);
     }
 
     #[test]

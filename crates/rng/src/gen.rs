@@ -69,11 +69,6 @@ pub fn operand32(rng: &mut XorShiftRng) -> u32 {
     }
 }
 
-/// A shift amount in `0..=31` (the architectural mask for 32-bit shifts).
-pub fn shamt(rng: &mut XorShiftRng) -> u32 {
-    rng.gen_range(0u32..=31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,13 +128,5 @@ mod tests {
         }
         assert!(zeros > 50, "corner bias must surface zero often: {zeros}");
         assert!(big > 1000, "uniform tail must still cover mid-range: {big}");
-    }
-
-    #[test]
-    fn shamt_is_architectural() {
-        let mut rng = XorShiftRng::seed_from_u64(4);
-        for _ in 0..1000 {
-            assert!(shamt(&mut rng) <= 31);
-        }
     }
 }

@@ -11,7 +11,8 @@
 //!
 //! * a corrupted, truncated, or dropped frame costs a retransmission
 //!   (frame time + bounded exponential backoff,
-//!   [`OffloadPolicy::backoff_for`]);
+//!   [`OffloadPolicy::backoff_for`]), on the offload runtime's own
+//!   frame-recovery walk, [`OffloadPolicy::deliver`];
 //! * a hung accelerator run costs the armed watchdog window, then the
 //!   whole batch restarts from scratch;
 //! * when the retry budget is exhausted the batch **fails over to the
@@ -24,9 +25,7 @@
 //! profiles configured the whole module is bypassed and the pool's
 //! scheduling (and its golden snapshots) is untouched.
 
-use ulp_link::{
-    EocOutcome, FaultConfig, FaultInjector, FaultStats, SpiLink, TxOutcome, FRAME_OVERHEAD,
-};
+use ulp_link::{EocOutcome, FaultConfig, FaultInjector, FaultStats, SpiLink, FRAME_OVERHEAD};
 use ulp_offload::{HetSystemConfig, OffloadCost, OffloadPolicy};
 
 /// Fault rates of one worker's link and event wires — the serve-scale
@@ -331,11 +330,11 @@ pub(crate) struct DispatchJob<'a> {
     pub host_est_ns: u64,
 }
 
-/// Replays the fault channel over every frame of a dispatch and its
-/// end-of-computation event, pricing the recovery work on the virtual
-/// clock. The injector's PRNG stream advances exactly once per assessed
-/// frame / event draw, so a `(seed, workload)` pair replays the same
-/// chaos on every machine.
+/// Replays the fault channel over every frame of a dispatch (each
+/// through [`OffloadPolicy::deliver`]) and its end-of-computation event,
+/// pricing the recovery work on the virtual clock. The injector's PRNG
+/// stream advances exactly once per frame attempt / event draw, so a
+/// `(seed, workload)` pair replays the same chaos on every machine.
 pub(crate) fn degrade(
     injector: &mut FaultInjector,
     cfg: &ChaosConfig,
@@ -366,25 +365,17 @@ pub(crate) fn degrade(
         .into_iter()
         .chain((0..job.iterations).flat_map(|_| per_iter.clone()));
 
-    'frames: for payload in frames {
-        let mut attempt = 0u32;
-        loop {
-            match injector.assess(payload + FRAME_OVERHEAD) {
-                TxOutcome::Delivered | TxOutcome::Corrupted { escaped: true } => break,
-                TxOutcome::Corrupted { escaped: false }
-                | TxOutcome::Truncated
-                | TxOutcome::Dropped => {
-                    if attempt >= policy.max_retries {
-                        undeliverable = true;
-                        break 'frames;
-                    }
-                    out.retransmissions += 1;
-                    extra_ns = extra_ns
-                        .saturating_add(timing.frame_ns(payload))
-                        .saturating_add(timing.host_cycles_ns(policy.backoff_for(attempt)));
-                    attempt += 1;
-                }
-            }
+    for payload in frames {
+        let d = policy.deliver(injector, payload + FRAME_OVERHEAD);
+        out.retransmissions += u64::from(d.retransmissions);
+        for i in 0..d.retransmissions {
+            extra_ns = extra_ns
+                .saturating_add(timing.frame_ns(payload))
+                .saturating_add(timing.host_cycles_ns(policy.backoff_for(i)));
+        }
+        if !d.delivered {
+            undeliverable = true;
+            break;
         }
     }
 
@@ -583,6 +574,94 @@ mod tests {
         let c = cost();
         let d = degrade(&mut inj, &cfg, &timing(), &job(&c));
         assert_eq!(d.fate, BatchFate::Failed);
+    }
+
+    /// The offload runtime and the serving layer recover frames on one
+    /// walk: on the same cost, seed and frame order (no hangs or late
+    /// events, so the event wire draws nothing) they retransmit the same
+    /// frames and charge the same surcharge, up to serving's rounding of
+    /// each retransmission's frame time and backoff to whole nanoseconds.
+    #[test]
+    fn offload_and_serving_recover_a_frame_plan_alike() {
+        use ulp_kernels::{Benchmark, TargetEnv};
+        use ulp_offload::{HetSystem, OffloadOptions};
+
+        let build = Benchmark::MatMul.build(&TargetEnv::pulp_parallel());
+        let opts = OffloadOptions {
+            iterations: 16,
+            ..OffloadOptions::default()
+        };
+        let profiles = [
+            FaultProfile {
+                drop_rate: 0.1,
+                ..FaultProfile::default()
+            },
+            FaultProfile {
+                bit_error_rate: 5e-6,
+                ..FaultProfile::default()
+            },
+            FaultProfile {
+                truncate_rate: 0.1,
+                ..FaultProfile::default()
+            },
+            FaultProfile {
+                bit_error_rate: 5e-6,
+                drop_rate: 0.05,
+                truncate_rate: 0.05,
+                ..FaultProfile::default()
+            },
+        ];
+        for (seed, profile) in (1u64..).zip(profiles) {
+            let fault = profile.fault_config(seed);
+            let config = HetSystemConfig {
+                fault,
+                ..HetSystemConfig::default()
+            };
+            let mut sys = HetSystem::new(config.clone());
+            let cost = sys.measure_cost(&build).unwrap();
+            let offload = sys.offload(&build, &opts).unwrap().resilience;
+
+            let cfg = ChaosConfig {
+                policy: opts.policy,
+                ..ChaosConfig::uniform(seed, profile)
+            };
+            let mut inj = FaultInjector::new(fault);
+            let served = degrade(
+                &mut inj,
+                &cfg,
+                &LinkTiming::new(&config),
+                &DispatchJob {
+                    cost: &cost,
+                    iterations: opts.iterations,
+                    ship: true,
+                    base_ns: 0,
+                    compute_ns: 1_000_000,
+                    host_est_ns: 0,
+                },
+            );
+            let s = inj.stats();
+            let fired = [
+                (profile.drop_rate, s.frames_dropped),
+                (profile.bit_error_rate, s.frames_corrupted),
+                (profile.truncate_rate, s.frames_truncated),
+            ];
+            for (rate, count) in fired {
+                assert!(rate == 0.0 || count > 0, "{profile:?}: a fault never fired");
+            }
+            assert_eq!(served.fate, BatchFate::Served, "{profile:?}");
+            assert_eq!(
+                served.retransmissions, offload.retransmissions,
+                "{profile:?}"
+            );
+            let gap_ns = (offload.extra_seconds * 1e9 - served.service_ns as f64).abs();
+            assert!(
+                gap_ns <= offload.retransmissions as f64,
+                "{profile:?}: offload {} ns vs serving {} ns over {} retransmissions",
+                offload.extra_seconds * 1e9,
+                served.service_ns,
+                offload.retransmissions
+            );
+        }
     }
 
     #[test]
