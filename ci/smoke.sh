@@ -198,20 +198,24 @@ cargo run --release -q -p ulp-bench --bin simperf -- \
 python3 -m json.tool "$ARTIFACTS/BENCH_simulator.json" > /dev/null
 grep -q '"engine_comparison"' "$ARTIFACTS/BENCH_simulator.json"
 grep -q '"engine_comparison_quad"' "$ARTIFACTS/BENCH_simulator.json"
+grep -q '"engine_comparison_octa"' "$ARTIFACTS/BENCH_simulator.json"
 grep -q '"core_peak"' "$ARTIFACTS/BENCH_simulator.json"
 grep -q '"simulated_mips"' "$ARTIFACTS/BENCH_simulator.json"
-# The fresh epoch speedups (full sweep and quad-core cell) must not
-# regress below the committed window. This run is reps=1 on a noisy
+# The fresh epoch speedups (full sweep, quad- and eight-core cells) must
+# not regress below the committed window. This run is reps=1 on a noisy
 # shared runner, so the gate applies a 0.6x safety factor: it catches
 # "the engine stopped engaging" regressions (ratios collapsing toward
 # 1x — a quad cell that stops speculating falls to block replay's ~1.1x),
-# not scheduler noise around the committed value.
+# not scheduler noise around the committed value. The eight-core cell's
+# epoch counters are simulated state, hence exact: any epoch ended by the
+# boundary top-up budget fails the gate.
 python3 - "$ARTIFACTS/BENCH_simulator.json" BENCH_simulator.json <<'PYEOF'
 import json, sys
 fresh, committed = (json.load(open(p)) for p in sys.argv[1:3])
 checks = [
     ("engine_comparison.epoch_speedup",),
     ("engine_comparison_quad.epoch_speedup",),
+    ("engine_comparison_octa.epoch_speedup",),
 ]
 fail = False
 for (path,) in checks:
@@ -221,6 +225,10 @@ for (path,) in checks:
     status = "ok" if got >= floor else "REGRESSED"
     print(f"engine gate {status}: {path} fresh {got:.3f} vs committed {want:.3f} (floor {floor:.3f})")
     fail |= got < floor
+topups = fresh["engine_comparison_octa"]["epoch_stats"]["aborts"]["topup_budget"]
+status = "ok" if topups == 0 else "REGRESSED"
+print(f"engine gate {status}: engine_comparison_octa epochs ended by the top-up budget: {topups} (want 0)")
+fail |= topups != 0
 sys.exit(1 if fail else 0)
 PYEOF
 

@@ -1,7 +1,8 @@
 //! Simulator wall-clock performance tracker: times the evaluation suites
 //! under the default engine, meters simulated MIPS, runs the in-process
 //! two-way engine comparison (reference vs epoch, full sweep plus the
-//! quad-core `pulp_parallel` cell), and writes `BENCH_simulator.json`.
+//! quad-core `pulp_parallel` and eight-core `f407-pulp4-octa` cells), and
+//! writes `BENCH_simulator.json`.
 //!
 //! Usage: `simperf [--jobs N] [--out PATH] [--reps N] [--skip-comparison]`
 
@@ -67,7 +68,7 @@ fn main() {
         );
     }
 
-    let (comparison, quad, peak) = if comparison_enabled {
+    let (comparison, quad, octa, peak) = if comparison_enabled {
         let c = simperf::compare_engines(reps);
         eprintln!(
             "simperf: engine comparison (min of {}): reference {:.3} cpu-s, \
@@ -86,6 +87,15 @@ fn main() {
             q.epoch_cpu_seconds,
             q.epoch_speedup()
         );
+        let o = simperf::compare_engines_octa(reps);
+        eprintln!(
+            "simperf: eight-core cell (min of {}): reference {:.3} cpu-s, \
+             epoch {:.3} cpu-s ({:.3}x)",
+            o.reps,
+            o.reference_cpu_seconds,
+            o.epoch_cpu_seconds,
+            o.epoch_speedup()
+        );
         let p = simperf::core_peak(reps);
         eprintln!(
             "simperf: core peak (best of {reps}): reference {:.2} MIPS, microop {:.2} MIPS \
@@ -94,15 +104,16 @@ fn main() {
             p.microop_mips,
             p.microop_speedup()
         );
-        (Some(c), Some(q), Some(p))
+        (Some(c), Some(q), Some(o), Some(p))
     } else {
-        (None, None, None)
+        (None, None, None, None)
     };
 
     let json = simperf::render_json(
         &suites,
         comparison.as_ref(),
         quad.as_ref(),
+        octa.as_ref(),
         peak.as_ref(),
         jobs,
     );

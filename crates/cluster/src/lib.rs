@@ -62,7 +62,7 @@ pub use dma::Dma;
 pub use event::EventUnit;
 pub use icache::ICache;
 pub use l2::L2Memory;
-pub use stats::ClusterActivity;
+pub use stats::{ClusterActivity, EpochAbort, EpochStats, TOPUP_ROUND_LABELS};
 pub use tcdm::Tcdm;
 
 /// Base address of the tightly-coupled data memory.

@@ -177,15 +177,7 @@ fn run() -> Result<(), String> {
     }
 
     let mut sys = HetSystem::new(cfg);
-    let trace_file = args.get("trace").map(str::to_owned);
-    if let Some(path) = &trace_file {
-        probe_trace_path(path)?;
-    }
-    let tracer = if trace_file.is_some() || args.has("counters") {
-        Tracer::with_capacity(args.get_usize("trace-cap", ulp_trace::DEFAULT_RING_CAP)?)
-    } else {
-        Tracer::disabled()
-    };
+    let (trace_file, tracer) = trace_setup(&args)?;
     sys.set_tracer(tracer.clone());
     let build = benchmark.build(&ulp_offload::cluster_env(sys.config()));
     println!(
@@ -411,15 +403,7 @@ fn run_serve(
         policy,
     };
 
-    let trace_file = args.get("trace").map(str::to_owned);
-    if let Some(path) = &trace_file {
-        probe_trace_path(path)?;
-    }
-    let tracer = if trace_file.is_some() || args.has("counters") {
-        Tracer::with_capacity(args.get_usize("trace-cap", ulp_trace::DEFAULT_RING_CAP)?)
-    } else {
-        Tracer::disabled()
-    };
+    let (trace_file, tracer) = trace_setup(args)?;
 
     let env = ulp_offload::cluster_env(cfg);
     let book = if chaos.is_active() && policy.fallback_to_host {
@@ -916,6 +900,25 @@ fn hot_mix(
         .map(|&(b, w)| book.est_ns(b, 1) as f64 * w / mix_total)
         .sum();
     (mix, mean_ns)
+}
+
+/// The `--trace FILE` / `--counters` set-up the offload and serving modes
+/// share: a tracer keeping `--trace-cap` events per component (at least
+/// one) when either flag asks for one, and the trace path probed up front.
+fn trace_setup(args: &Args) -> Result<(Option<String>, Tracer), String> {
+    let trace_file = args.get("trace").map(str::to_owned);
+    let tracer = if trace_file.is_some() || args.has("counters") {
+        match args.get_usize("trace-cap", ulp_trace::DEFAULT_RING_CAP)? {
+            0 => return Err("--trace-cap: must be at least 1 event".into()),
+            cap => Tracer::with_capacity(cap),
+        }
+    } else {
+        Tracer::disabled()
+    };
+    if let Some(path) = &trace_file {
+        probe_trace_path(path)?;
+    }
+    Ok((trace_file, tracer))
 }
 
 /// Probes a `--trace` output path up front, before any simulation runs: a

@@ -242,6 +242,21 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown benchmark"));
 
+    // A trace ring of zero events: a typed error naming the flag (exit 1),
+    // in the offload and the serving mode alike, not a panic (exit 101).
+    for mode in [&["--counters"][..], &["--serve", "--counters"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_het-sim"))
+            .args(["--benchmark", "matmul", "--trace-cap", "0"])
+            .args(mode)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{mode:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("--trace-cap"),
+            "{mode:?}"
+        );
+    }
+
     // Syntax error with the line number.
     let src = tmp("bad.s");
     fs::write(&src, "nop\nfrobnicate r1\n").unwrap();
