@@ -47,11 +47,9 @@
 
 pub mod device;
 pub mod host;
-pub mod wfe;
 
 pub use device::{datasheet, HostCoreKind, McuDevice};
 pub use host::{Mcu, McuRun};
-pub use wfe::{wfe_wait, WakeReason, WfeWait};
 
 /// Base address of the host's unified code+data SRAM.
 pub const MCU_MEM_BASE: u32 = 0x2000_0000;
