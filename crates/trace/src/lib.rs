@@ -32,7 +32,7 @@
 //!   lay out sequentially on one timeline.
 //! * **host domain** (host MCU phases, the SPI link): timestamps are
 //!   nanoseconds of wall-clock time. The host epoch advances per offload
-//!   invocation; link events use the link's own cumulative busy time.
+//!   invocation, and host and link events alike are stamped from it.
 //!
 //! The Chrome exporter maps cluster events onto one process (1 "µs" = 1
 //! cycle) and host/link events onto another (1 "µs" = 1 ns), so both
@@ -465,7 +465,7 @@ impl Tracer {
         let mut s = state.borrow_mut();
         let epoch = match component {
             c if c.is_cluster_domain() => s.cluster_epoch,
-            Component::Host => s.host_epoch,
+            Component::Host | Component::Link => s.host_epoch,
             _ => 0,
         };
         let ev = TraceEvent {
@@ -698,8 +698,10 @@ mod tests {
             20,
             30,
         );
+        t.emit(Component::Link, EventKind::FrameTx { bytes: 8 }, 20, 30);
         t.emit(Component::Core(0), EventKind::CoreRun, 20, 30);
         assert_eq!(t.events_of(Component::Host)[0].start, 520);
+        assert_eq!(t.events_of(Component::Link)[0].start, 520);
         assert_eq!(t.events_of(Component::Core(0))[0].start, 20);
     }
 
