@@ -1,9 +1,8 @@
 //! Bridge from declarative [`PlatformSpec`]s to the offload runtime.
 //!
 //! [`ulp_platform`] deliberately sits *below* this crate in the dependency
-//! graph (it knows nothing about [`HetSystem`](crate::HetSystem)), so the
-//! platform-file mirror of the link-clocking enum and the kernel target
-//! environment are converted here:
+//! graph (it knows nothing about [`HetSystem`](crate::HetSystem)), so
+//! platform specs and the kernel target environment are converted here:
 //!
 //! * [`config_from_platform`] — a validated spec becomes a
 //!   [`HetSystemConfig`] at the platform's default operating point. The
@@ -17,19 +16,9 @@
 //!   and ISA feature gates instead of the hard-coded quad-core OR10N.
 
 use ulp_kernels::TargetEnv;
-use ulp_platform::{LinkClockSpec, PlatformSpec};
+use ulp_platform::PlatformSpec;
 
-use crate::system::{HetSystemConfig, LinkClocking};
-
-impl From<LinkClockSpec> for LinkClocking {
-    fn from(spec: LinkClockSpec) -> Self {
-        match spec {
-            LinkClockSpec::McuDivided => LinkClocking::McuDivided,
-            LinkClockSpec::BoostedMcu { mcu_hz } => LinkClocking::BoostedMcu { mcu_hz },
-            LinkClockSpec::Independent { spi_hz } => LinkClocking::Independent { spi_hz },
-        }
-    }
-}
+use crate::system::HetSystemConfig;
 
 /// Instantiates a system configuration from a platform spec at the
 /// platform's default operating point.
@@ -53,7 +42,7 @@ pub fn config_at_vdd(spec: &PlatformSpec, vdd: f64) -> HetSystemConfig {
         mcu_freq_hz: spec.mcu_freq_hz,
         link_width: spec.link_width,
         link_prescaler: spec.link_prescaler,
-        link_clocking: spec.link_clocking.into(),
+        link_clocking: spec.link_clocking,
         sensor_bandwidth: spec.sensor_bandwidth,
         cluster: spec.cluster,
         pulp_vdd: vdd,
@@ -85,6 +74,7 @@ pub fn host_env(_cfg: &HetSystemConfig) -> TargetEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ulp_link::LinkClocking;
     use ulp_platform::PlatformError;
 
     const BASELINE: &str = include_str!("../../../platforms/m4-pulp3.toml");

@@ -62,7 +62,7 @@ pub mod spi;
 pub use crc::{crc16, crc16_step};
 pub use fault::{EocOutcome, FaultConfig, FaultInjector, FaultStats, TxOutcome};
 pub use frame::{Frame, FrameError, FRAME_OVERHEAD, MAX_PAYLOAD};
-pub use spi::{LinkStats, SpiLink, SpiWidth};
+pub use spi::{LinkClocking, LinkStats, SpiLink, SpiWidth};
 
 /// Most frames a sender may have unacknowledged at once: half the 4-bit
 /// sequence space, the selective-repeat bound beyond which a

@@ -31,29 +31,43 @@
 pub mod parse;
 
 use ulp_cluster::ClusterConfig;
-use ulp_link::SpiWidth;
+use ulp_link::{LinkClocking, SpiWidth};
 use ulp_mcu::McuDevice;
 use ulp_power::{busy_activity, PulpPowerModel};
 
-/// How the coupling link's shift clock is derived — a platform-file
-/// mirror of the offload runtime's link-clocking modes (the runtime's own
-/// enum lives downstream of this crate).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum LinkClockSpec {
-    /// The link divides the host core clock by the prescaler (the
-    /// paper's prototype wiring).
-    McuDivided,
-    /// The link divides a boosted MCU clock, as if the host core were
-    /// clocked at `mcu_hz` for link purposes.
-    BoostedMcu {
-        /// Equivalent boosted host clock, Hz.
-        mcu_hz: f64,
-    },
-    /// An independent link PLL drives the shifter at `spi_hz` directly.
-    Independent {
-        /// Link shift clock, Hz.
-        spi_hz: f64,
-    },
+/// Checks a clock setting given in MHz — `what` names it in the error —
+/// and returns it in Hz: it must be finite and positive.
+///
+/// # Errors
+///
+/// A message naming the clock when it is zero, negative, infinite or NaN.
+pub fn clock_hz(what: &str, mhz: f64) -> Result<f64, String> {
+    if mhz.is_finite() && mhz > 0.0 {
+        Ok(mhz * 1e6)
+    } else {
+        Err(format!(
+            "{what} must be a positive number of MHz, got {mhz}"
+        ))
+    }
+}
+
+/// Checks a host core clock given in MHz against `host`'s datasheet and
+/// returns it in Hz: it must pass [`clock_hz`] and stay within the
+/// device's fmax.
+///
+/// # Errors
+///
+/// A message naming the clock or the datasheet limit it exceeds.
+pub fn host_clock_hz(host: &McuDevice, mhz: f64) -> Result<f64, String> {
+    let hz = clock_hz("host clock", mhz)?;
+    if hz > host.fmax_hz * 1.0001 {
+        return Err(format!(
+            "{mhz} MHz exceeds the {} datasheet fmax {:.0} MHz",
+            host.name,
+            host.fmax_hz / 1e6
+        ));
+    }
+    Ok(hz)
 }
 
 /// One rung of a platform's DVFS ladder, with frequency and power
@@ -90,7 +104,7 @@ pub struct PlatformSpec {
     /// Link clock prescaler from the driving clock.
     pub link_prescaler: u32,
     /// Link clock derivation scheme.
-    pub link_clocking: LinkClockSpec,
+    pub link_clocking: LinkClocking,
     /// Direct sensor→accelerator interface bandwidth, bytes/s.
     pub sensor_bandwidth: f64,
     /// Cluster shape (cores, TCDM banks, caches) and core model with the

@@ -13,11 +13,11 @@
 
 use ulp_cluster::ClusterConfig;
 use ulp_isa::CoreModel;
-use ulp_link::SpiWidth;
+use ulp_link::{LinkClocking, SpiWidth};
 use ulp_mcu::{datasheet, McuDevice};
 use ulp_power::PulpPowerModel;
 
-use crate::{LinkClockSpec, PlatformError, PlatformSpec};
+use crate::{clock_hz, host_clock_hz, PlatformError, PlatformSpec};
 
 /// Known sections and their known keys, in canonical render order. The
 /// empty section name is the top level.
@@ -315,21 +315,8 @@ pub fn parse(file: &str, text: &str) -> Result<PlatformSpec, PlatformError> {
             )
         })?;
     let freq_item = e.require("host", "freq_mhz", "the host core clock in MHz")?;
-    let mcu_freq_mhz = e.f64_of(freq_item)?;
-    if mcu_freq_mhz <= 0.0 {
-        return Err(e.item_err(freq_item, "host clock must be positive".to_owned()));
-    }
-    let mcu_freq_hz = mcu_freq_mhz * 1e6;
-    if mcu_freq_hz > host.fmax_hz * 1.0001 {
-        return Err(e.item_err(
-            freq_item,
-            format!(
-                "{mcu_freq_mhz} MHz exceeds the {} datasheet fmax {:.0} MHz",
-                host.name,
-                host.fmax_hz / 1e6
-            ),
-        ));
-    }
+    let mcu_freq_hz =
+        host_clock_hz(&host, e.f64_of(freq_item)?).map_err(|m| e.item_err(freq_item, m))?;
 
     // -- [link] ----------------------------------------------------------
     let link_width = match e.get("link", "width") {
@@ -380,11 +367,10 @@ pub fn parse(file: &str, text: &str) -> Result<PlatformSpec, PlatformError> {
                 "boost_mhz",
                 "clocking = \"boosted-mcu\" needs the boosted clock",
             )?;
-            let mhz = e.f64_of(item)?;
-            if mhz <= 0.0 {
-                return Err(e.item_err(item, "boosted clock must be positive".to_owned()));
+            let mcu_hz = clock_hz("boosted clock", e.f64_of(item)?);
+            LinkClocking::BoostedMcu {
+                mcu_hz: mcu_hz.map_err(|m| e.item_err(item, m))?,
             }
-            LinkClockSpec::BoostedMcu { mcu_hz: mhz * 1e6 }
         }
         "independent" => {
             if let Some(item) = boost_item {
@@ -398,11 +384,10 @@ pub fn parse(file: &str, text: &str) -> Result<PlatformSpec, PlatformError> {
                 "clock_mhz",
                 "clocking = \"independent\" needs the link clock",
             )?;
-            let mhz = e.f64_of(item)?;
-            if mhz <= 0.0 {
-                return Err(e.item_err(item, "link clock must be positive".to_owned()));
+            let spi_hz = clock_hz("link clock", e.f64_of(item)?);
+            LinkClocking::Independent {
+                spi_hz: spi_hz.map_err(|m| e.item_err(item, m))?,
             }
-            LinkClockSpec::Independent { spi_hz: mhz * 1e6 }
         }
         _ => {
             if let Some(item) = boost_item {
@@ -417,7 +402,7 @@ pub fn parse(file: &str, text: &str) -> Result<PlatformSpec, PlatformError> {
                     "clock_mhz is only meaningful with clocking = \"independent\"".to_owned(),
                 ));
             }
-            LinkClockSpec::McuDivided
+            LinkClocking::McuDivided
         }
     };
     let sensor_bandwidth = match e.get("link", "sensor_mbps") {
@@ -628,11 +613,11 @@ pub fn render(spec: &PlatformSpec) -> String {
     let c = &spec.cluster;
     let f = &c.core_model.features;
     let clocking = match spec.link_clocking {
-        LinkClockSpec::McuDivided => "clocking = \"mcu-divided\"".to_owned(),
-        LinkClockSpec::BoostedMcu { mcu_hz } => {
+        LinkClocking::McuDivided => "clocking = \"mcu-divided\"".to_owned(),
+        LinkClocking::BoostedMcu { mcu_hz } => {
             format!("clocking = \"boosted-mcu\"\nboost_mhz = {}", mcu_hz / 1e6)
         }
-        LinkClockSpec::Independent { spi_hz } => {
+        LinkClocking::Independent { spi_hz } => {
             format!("clocking = \"independent\"\nclock_mhz = {}", spi_hz / 1e6)
         }
     };
@@ -741,7 +726,7 @@ default_vdd = 0.65
         assert_eq!(spec.mcu_freq_hz.to_bits(), 16.0e6f64.to_bits());
         assert_eq!(spec.link_width, SpiWidth::Quad);
         assert_eq!(spec.link_prescaler, 2);
-        assert_eq!(spec.link_clocking, LinkClockSpec::McuDivided);
+        assert_eq!(spec.link_clocking, LinkClocking::McuDivided);
         assert_eq!(spec.sensor_bandwidth.to_bits(), 10.0e6f64.to_bits());
         assert_eq!(spec.cluster, ClusterConfig::default());
         assert_eq!(spec.default_vdd, 0.65);

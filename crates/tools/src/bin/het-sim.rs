@@ -79,7 +79,6 @@ fn run() -> Result<(), String> {
         );
     }
     let benchmark = parse_benchmark(args.get("benchmark").unwrap_or(""))?;
-    let mcu_hz = args.get_f64("mcu-mhz", 16.0)? * 1e6;
     let iterations = args.get_usize("iterations", 16)?;
     if args.has("jobs") {
         let jobs = args.get_usize("jobs", 1)?;
@@ -93,20 +92,19 @@ fn run() -> Result<(), String> {
     // and clock, link wiring, cluster shape, ISA gates, power scaling and
     // the default DVFS point all come from the file. Explicit flags given
     // alongside it (`--mcu-mhz`, `--link`, `--link-clock`, …) still win,
-    // so a committed platform can be probed with one-off deviations.
+    // so a committed platform can be probed with one-off deviations. Each
+    // clock flag passes the check the platform parser applies to its key.
     let mut cfg = if let Some(path) = args.get("platform") {
         let spec = ulp_platform::PlatformSpec::load(path).map_err(|e| e.to_string())?;
-        let mut from_file = ulp_offload::config_from_platform(&spec);
-        if args.has("mcu-mhz") {
-            from_file.mcu_freq_hz = mcu_hz;
-        }
-        from_file
+        ulp_offload::config_from_platform(&spec)
     } else {
-        HetSystemConfig {
-            mcu_freq_hz: mcu_hz,
-            ..HetSystemConfig::default()
-        }
+        HetSystemConfig::default()
     };
+    let clock = |flag: &str, hz: Result<f64, String>| hz.map_err(|e| format!("--{flag}: {e}"));
+    if args.has("mcu-mhz") {
+        let mhz = args.get_f64("mcu-mhz", 16.0)?;
+        cfg.mcu_freq_hz = clock("mcu-mhz", ulp_platform::host_clock_hz(&cfg.mcu, mhz))?;
+    }
     // `--engine` picks one of the bit-identical engines.
     if let Some(name) = args.get("engine") {
         cfg.cluster.engine = ulp_cluster::Engine::from_name(name).ok_or_else(|| {
@@ -129,12 +127,14 @@ fn run() -> Result<(), String> {
         };
     }
     if args.has("link-clock") {
+        let mhz = args.get_f64("link-clock", 25.0)?;
         cfg.link_clocking = LinkClocking::Independent {
-            spi_hz: args.get_f64("link-clock", 25.0)? * 1e6,
+            spi_hz: clock("link-clock", ulp_platform::clock_hz("link clock", mhz))?,
         };
     } else if args.has("boost-mhz") {
+        let mhz = args.get_f64("boost-mhz", 32.0)?;
         cfg.link_clocking = LinkClocking::BoostedMcu {
-            mcu_hz: args.get_f64("boost-mhz", 32.0)? * 1e6,
+            mcu_hz: clock("boost-mhz", ulp_platform::clock_hz("boosted clock", mhz))?,
         };
     }
     cfg.fault = FaultConfig {
@@ -701,9 +701,8 @@ fn run_fleet(
             if m >= tenants.len() {
                 return Err(format!(
                     "--replay-trace: trace names tenant {m} but only {} tenants are \
-                     configured; raise --tenants to at least {}",
+                     configured; raise --tenants above {m}",
                     tenants.len(),
-                    m + 1
                 ));
             }
         }

@@ -257,6 +257,45 @@ fn bad_inputs_fail_cleanly() {
         );
     }
 
+    // Clock flags the platform parser would reject for their keys: a typed
+    // error naming the flag (exit 1), not a panic (101) or an `inf` / `NaN`
+    // report (0).
+    for (flag, value) in [
+        ("--mcu-mhz", "0"),
+        ("--mcu-mhz", "100"),
+        ("--link-clock", "0"),
+        ("--boost-mhz", "0"),
+        ("--link-clock", "nan"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_het-sim"))
+            .args(["--benchmark", "matmul", "--iterations", "2", flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
+
+    // A replayed trace naming the largest tenant id: the error names the
+    // tenant without computing past it.
+    let trace = tmp("tenant.json");
+    fs::write(
+        &trace,
+        "{\"schema\":\"ulp-serve-trace-v1\",\"count\":1}\n\
+         {\"id\":0,\"tenant\":18446744073709551615,\"kernel\":0,\"kernel_name\":\"matmul\",\
+         \"class\":0,\"arrival_ns\":0,\"iterations\":1}\n",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_het-sim"))
+        .args(["--fleet", "--benchmark", "matmul", "--replay-trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("tenant 18446744073709551615"), "{stderr}");
+    let _ = fs::remove_file(trace);
+
     // Syntax error with the line number.
     let src = tmp("bad.s");
     fs::write(&src, "nop\nfrobnicate r1\n").unwrap();
