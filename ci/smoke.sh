@@ -61,9 +61,22 @@ echo "== offload fault smoke =="
 # ledger exactly as the fault-free run prints it.
 cargo run --release -q -p ulp-tools --bin het-sim -- \
   --benchmark matmul --iterations 8 --ber 1e-5 --drop-rate 0.02 --fault-seed 3 \
-  | tee "$ARTIFACTS/faults-retry.out"
+  --trace "$ARTIFACTS/faults-retry.json" | tee "$ARTIFACTS/faults-retry.out"
 grep -q 'resilience (seed 3):' "$ARTIFACTS/faults-retry.out"
 grep -q '  16 retransmissions,' "$ARTIFACTS/faults-retry.out"
+# The link track runs on the host clock: frames and retransmissions
+# follow each other and never overlap.
+python3 - "$ARTIFACTS/faults-retry.json" <<'PYEOF'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+link = {(e["pid"], e["tid"]) for e in events
+        if e.get("name") == "thread_name" and e["args"]["name"] == "link"}
+spans = sorted((e["ts"], e["dur"]) for e in events
+               if e.get("ph") == "X" and (e["pid"], e.get("tid")) in link)
+overlaps = sum(a[0] + a[1] > b[0] for a, b in zip(spans, spans[1:]))
+print(f"link track: {len(spans)} spans, {overlaps} overlapping")
+sys.exit(1 if overlaps or not spans else 0)
+PYEOF
 cargo run --release -q -p ulp-tools --bin het-sim -- \
   --benchmark cnn --iterations 4 --stuck-eoc | tee "$ARTIFACTS/faults-stuck.out"
 grep -q 'FELL BACK TO HOST for 4 iterations' "$ARTIFACTS/faults-stuck.out"
@@ -136,6 +149,15 @@ cargo run --release -q -p ulp-tools --bin het-sim -- \
   --drop-rate 0.01 --hang-rate 0.005 --burst-factor 50 | tee "$ARTIFACTS/soak-fifo.out"
 grep -q 'dispatch, FIFO' "$ARTIFACTS/soak-fifo.out"
 grep -q 'invariants: OK' "$ARTIFACTS/soak-fifo.out"
+# Every end-of-computation event lands 10^9 cycles late, far past the
+# automatic watchdog: each dispatch trips it and falls back to the host,
+# as an offload does, instead of sleeping through the delay.
+cargo run --release -q -p ulp-tools --bin het-sim -- \
+  --serve --benchmark matmul --pool 2 --duration-ms 200 \
+  --late-eoc-rate 1 --late-eoc-cycles 1000000000 | tee "$ARTIFACTS/serve-late.out"
+grep -E -q 'recovery  : [0-9]+ retransmissions, [1-9][0-9]* watchdog fires, 0 late events' \
+  "$ARTIFACTS/serve-late.out"
+grep -E -q 'fallback  : [1-9][0-9]* batches' "$ARTIFACTS/serve-late.out"
 cargo run --release -q -p ulp-bench --bin soak -- \
   --json "$SCRATCH/BENCH_soak.json" > "$SCRATCH/soak_table.txt"
 golden soak_table tests/golden/soak_table.txt "$SCRATCH/soak_table.txt"
