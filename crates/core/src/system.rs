@@ -7,7 +7,7 @@ use ulp_cluster::{Cluster, ClusterActivity, ClusterConfig, L2_BASE};
 use ulp_kernels::runner::MAX_KERNEL_CYCLES;
 use ulp_kernels::{BufferInit, KernelBuild};
 use ulp_link::{
-    EocOutcome, FaultConfig, FaultInjector, GpioEvent, LinkClocking, SpiLink, SpiWidth, TxOutcome,
+    EocOutcome, FaultConfig, FaultInjector, LinkClocking, SpiLink, SpiWidth, TxOutcome,
     FRAME_OVERHEAD,
 };
 use ulp_mcu::{datasheet, Mcu, McuDevice};
@@ -1325,7 +1325,7 @@ impl HetSystem {
         let pulp_leak_p = self.config.power.leakage_w(self.config.pulp_vdd);
         // A hung cluster still burns active power, unless its fetch-enable
         // wire is stuck and it never started.
-        let pulp_hung_p = if self.injector.wire_stuck(GpioEvent::FetchEnable) {
+        let pulp_hung_p = if self.config.fault.stuck_fetch_enable {
             pulp_leak_p
         } else {
             pulp_active_p

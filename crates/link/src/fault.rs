@@ -9,13 +9,10 @@
 //! sequence — the property the resilience experiments and the acceptance
 //! tests rely on.
 //!
-//! Two operating modes share the same random draws:
-//!
-//! * [`FaultInjector::transmit`] mutates real wire bytes (used by the
-//!   frame-hardening tests and any future byte-accurate transport), and
-//! * [`FaultInjector::assess`] draws the same outcome distribution for a
-//!   frame of a given length without materializing bytes (used by the
-//!   offload cost model, where data frames are accounting entities).
+//! Frames are accounting entities here: [`FaultInjector::assess`] draws
+//! what happens to a frame of a given length without any bytes, and
+//! [`FaultInjector::eoc`] draws what happens to one run's
+//! end-of-computation event.
 //!
 //! With the default configuration every method is a no-op and the injector
 //! reports [`inactive`](FaultConfig::is_active); the offload runtime skips
@@ -23,9 +20,6 @@
 //! figures bit-identical.
 
 use ulp_rng::XorShiftRng;
-
-use crate::crc::crc16;
-use crate::GpioEvent;
 
 /// Probability that a corruption slips past CRC-16 (2⁻¹⁶).
 const CRC_ESCAPE_P: f64 = 1.0 / 65536.0;
@@ -162,12 +156,6 @@ impl FaultInjector {
         }
     }
 
-    /// The fault model.
-    #[must_use]
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Whether any fault mechanism is enabled.
     #[must_use]
     pub fn is_active(&self) -> bool {
@@ -180,62 +168,8 @@ impl FaultInjector {
         &self.stats
     }
 
-    /// Resets the counters **and** the PRNG stream, replaying the fault
-    /// sequence from the seed.
-    pub fn reset(&mut self) {
-        self.stats = FaultStats::default();
-        self.rng = XorShiftRng::seed_from_u64(self.cfg.seed);
-    }
-
-    /// Whether a GPIO event wire is stuck (its events never arrive).
-    #[must_use]
-    pub fn wire_stuck(&self, wire: GpioEvent) -> bool {
-        match wire {
-            GpioEvent::FetchEnable => self.cfg.stuck_fetch_enable,
-            GpioEvent::EndOfComputation => self.cfg.stuck_eoc,
-        }
-    }
-
-    /// Passes real wire bytes through the fault channel, mutating them in
-    /// place. Returns what the receiver observes.
-    pub fn transmit(&mut self, wire: &mut Vec<u8>) -> TxOutcome {
-        self.stats.frames += 1;
-        if self.cfg.drop_rate > 0.0 && self.rng.gen_bool(self.cfg.drop_rate) {
-            self.stats.frames_dropped += 1;
-            wire.clear();
-            return TxOutcome::Dropped;
-        }
-        if self.cfg.truncate_rate > 0.0 && self.rng.gen_bool(self.cfg.truncate_rate) {
-            self.stats.frames_truncated += 1;
-            let keep = self.rng.gen_range(0..wire.len().max(1));
-            wire.truncate(keep);
-            return TxOutcome::Truncated;
-        }
-        let flips = self.draw_bit_flips(wire.len() * 8);
-        if flips.is_empty() {
-            return TxOutcome::Delivered;
-        }
-        for bit in &flips {
-            wire[bit / 8] ^= 1 << (bit % 8);
-        }
-        self.stats.bits_flipped += flips.len() as u64;
-        self.stats.frames_corrupted += 1;
-        // A real receiver recomputes the CRC over whatever arrived; the
-        // corruption escapes iff the stored CRC (possibly itself flipped)
-        // still matches the recomputed one.
-        let escaped = wire.len() >= 2 && {
-            let (body, crc_bytes) = wire.split_at(wire.len() - 2);
-            crc16(body) == u16::from_be_bytes([crc_bytes[0], crc_bytes[1]])
-        };
-        if escaped {
-            self.stats.crc_escapes += 1;
-        }
-        TxOutcome::Corrupted { escaped }
-    }
-
-    /// Draws the fault outcome for a frame of `wire_bytes` length without
-    /// materializing its bytes — the accounting twin of
-    /// [`transmit`](Self::transmit), with the same outcome distribution.
+    /// Draws the fault outcome for a frame of `wire_bytes` length. A
+    /// corrupted frame escapes the CRC-16 with probability 2⁻¹⁶.
     pub fn assess(&mut self, wire_bytes: usize) -> TxOutcome {
         self.stats.frames += 1;
         if self.cfg.drop_rate > 0.0 && self.rng.gen_bool(self.cfg.drop_rate) {
@@ -276,23 +210,22 @@ impl FaultInjector {
         EocOutcome::OnTime
     }
 
-    /// Bit positions flipped in an `n`-bit frame, via geometric gap
+    /// Number of bits flipped in an `n`-bit frame, via geometric gap
     /// sampling (O(flips), not O(bits)).
-    fn draw_bit_flips(&mut self, n_bits: usize) -> Vec<usize> {
-        let mut flips = Vec::new();
+    fn count_bit_flips(&mut self, n_bits: usize) -> u64 {
         let p = self.cfg.bit_error_rate;
         if p <= 0.0 || n_bits == 0 {
-            return flips;
+            return 0;
         }
         if p >= 1.0 {
-            flips.extend(0..n_bits);
-            return flips;
+            return n_bits as u64;
         }
         let ln_q = (1.0 - p).ln();
         if ln_q == 0.0 {
             // p below f64 resolution: a flip effectively never fires.
-            return flips;
+            return 0;
         }
+        let mut flips = 0;
         let mut pos = 0.0f64;
         loop {
             // Geometric gap: number of surviving bits before the next flip.
@@ -301,22 +234,15 @@ impl FaultInjector {
             if pos >= n_bits as f64 {
                 return flips;
             }
-            flips.push(pos as usize);
+            flips += 1;
             pos += 1.0;
         }
-    }
-
-    /// Number of flipped bits in an `n`-bit frame (same distribution as
-    /// [`draw_bit_flips`](Self::draw_bit_flips), positions not needed).
-    fn count_bit_flips(&mut self, n_bits: usize) -> u64 {
-        self.draw_bit_flips(n_bits).len() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Frame;
 
     fn cfg(seed: u64) -> FaultConfig {
         FaultConfig {
@@ -329,14 +255,6 @@ mod tests {
     fn default_config_is_inactive_and_transparent() {
         assert!(!FaultConfig::default().is_active());
         let mut inj = FaultInjector::new(FaultConfig::default());
-        let frame = Frame::Write {
-            addr: 0,
-            data: vec![7; 64],
-        };
-        let mut wire = frame.to_wire();
-        let orig = wire.clone();
-        assert_eq!(inj.transmit(&mut wire), TxOutcome::Delivered);
-        assert_eq!(wire, orig);
         assert_eq!(inj.assess(1024), TxOutcome::Delivered);
         assert_eq!(inj.eoc(), EocOutcome::OnTime);
         assert_eq!(inj.stats().bits_flipped, 0);
@@ -361,19 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_replays_from_the_seed() {
-        let c = FaultConfig {
-            bit_error_rate: 1e-2,
-            ..cfg(9)
-        };
-        let mut inj = FaultInjector::new(c);
-        let first: Vec<TxOutcome> = (0..64).map(|_| inj.assess(128)).collect();
-        inj.reset();
-        let second: Vec<TxOutcome> = (0..64).map(|_| inj.assess(128)).collect();
-        assert_eq!(first, second);
-    }
-
-    #[test]
     fn bit_error_rate_tracks_expectation() {
         let c = FaultConfig {
             bit_error_rate: 1e-3,
@@ -391,35 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_detected_by_the_frame_parser() {
-        let c = FaultConfig {
-            bit_error_rate: 5e-3,
-            ..cfg(77)
-        };
-        let mut inj = FaultInjector::new(c);
-        let frame = Frame::Write {
-            addr: 0x20,
-            data: vec![0x5A; 256],
-        };
-        let mut corrupted = 0;
-        for _ in 0..200 {
-            let mut wire = frame.to_wire();
-            match inj.transmit(&mut wire) {
-                TxOutcome::Corrupted { escaped: false } => {
-                    corrupted += 1;
-                    assert_eq!(Frame::from_wire(&wire), Err(crate::FrameError::BadChecksum));
-                }
-                TxOutcome::Delivered => {
-                    assert_eq!(Frame::from_wire(&wire).unwrap(), frame);
-                }
-                _ => {}
-            }
-        }
-        assert!(corrupted > 50, "only {corrupted} corrupted frames in 200");
-        assert_eq!(inj.stats().frames, 200);
-    }
-
-    #[test]
     fn dropped_and_truncated_frames_counted() {
         // Every non-dropped frame is truncated: the two counters partition
         // the total.
@@ -430,8 +306,7 @@ mod tests {
         };
         let mut inj = FaultInjector::new(c);
         for _ in 0..100 {
-            let mut wire = Frame::Ack { seq: 1 }.to_wire();
-            let _ = inj.transmit(&mut wire);
+            let _ = inj.assess(10);
         }
         let s = inj.stats();
         assert_eq!(s.frames, 100);
@@ -449,15 +324,12 @@ mod tests {
             assert_eq!(inj.eoc(), EocOutcome::Hang);
         }
         assert_eq!(inj.stats().stuck_wire_events, 10);
-        assert!(inj.wire_stuck(GpioEvent::EndOfComputation));
-        assert!(!inj.wire_stuck(GpioEvent::FetchEnable));
 
         let mut inj = FaultInjector::new(FaultConfig {
             stuck_fetch_enable: true,
             ..cfg(0)
         });
         assert_eq!(inj.eoc(), EocOutcome::Hang);
-        assert!(inj.wire_stuck(GpioEvent::FetchEnable));
     }
 
     #[test]

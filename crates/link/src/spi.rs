@@ -114,18 +114,6 @@ impl SpiLink {
         }
     }
 
-    /// Link width.
-    #[must_use]
-    pub fn width(&self) -> SpiWidth {
-        self.width
-    }
-
-    /// Clock prescaler from the MCU core clock.
-    #[must_use]
-    pub fn prescaler(&self) -> u32 {
-        self.prescaler
-    }
-
     /// SPI clock frequency for a given MCU core frequency.
     #[must_use]
     pub fn clock_hz(&self, mcu_hz: f64) -> f64 {
@@ -173,11 +161,6 @@ impl SpiLink {
     #[must_use]
     pub fn stats(&self) -> &LinkStats {
         &self.stats
-    }
-
-    /// Resets the statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = LinkStats::default();
     }
 }
 
@@ -233,7 +216,5 @@ mod tests {
         assert_eq!(s.transactions, 2);
         assert!((s.busy_seconds - (t1 + t2)).abs() < 1e-15);
         assert!(s.energy_joules > 0.0);
-        link.reset_stats();
-        assert_eq!(link.stats().transactions, 0);
     }
 }
