@@ -127,6 +127,12 @@ impl OffloadPolicy {
     /// a trivial run arms a real window.
     pub const MIN_WATCHDOG_CYCLES: u64 = 1_000;
 
+    /// Largest useful `max_retries`: for any nonzero `backoff_cycles`,
+    /// [`backoff_for`](Self::backoff_for) reaches `u64::MAX` cycles by
+    /// the 64th doubling, so a larger budget only adds pauses of
+    /// `u64::MAX` cycles.
+    pub const MAX_RETRIES: u32 = 64;
+
     /// Backoff pause (host cycles) before retransmission `attempt`
     /// (0-based).
     #[must_use]
@@ -838,10 +844,10 @@ impl HetSystem {
 
         let (spi_drive_hz, _) = self.link_clocks();
 
-        // Each mapped buffer travels in one Frame (10-byte header).
+        // Each mapped buffer travels in one frame.
         let binary_seconds = if include_binary {
             self.link
-                .transfer_seconds(cost.offload_bytes + 10, spi_drive_hz)
+                .transfer_seconds(cost.offload_bytes + FRAME_OVERHEAD, spi_drive_hz)
         } else {
             0.0
         };
@@ -852,13 +858,19 @@ impl HetSystem {
         } else {
             cost.input_frames
                 .iter()
-                .map(|len| self.link.transfer_seconds(len + 10, spi_drive_hz))
+                .map(|len| {
+                    self.link
+                        .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
+                })
                 .sum()
         };
         let t_out: f64 = cost
             .output_frames
             .iter()
-            .map(|len| self.link.transfer_seconds(len + 10, spi_drive_hz))
+            .map(|len| {
+                self.link
+                    .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
+            })
             .sum();
 
         let t_compute_cold = cost.cycles_cold as f64 / f_pulp;
@@ -1230,7 +1242,7 @@ impl HetSystem {
             // Backoff pause before the retransmission: both dies idle.
             let pause = policy.backoff_for(i);
             let t_pause = pause as f64 / mcu_hz;
-            res.backoff_cycles += pause;
+            res.backoff_cycles = res.backoff_cycles.saturating_add(pause);
             res.extra_seconds += t_pause;
             res.extra_energy_joules += (self.config.mcu.sleep_power_w() + pulp_leak_p) * t_pause;
             // The retransmission: its full frame time and energy.
@@ -1255,7 +1267,7 @@ impl HetSystem {
             })
         } else {
             Err(OffloadError::RetriesExhausted {
-                attempts: d.retransmissions + 1,
+                attempts: d.retransmissions.saturating_add(1),
             })
         }
     }
@@ -2391,6 +2403,46 @@ mod tests {
             OffloadError::RetriesExhausted { attempts } => assert_eq!(attempts, 4),
             other => panic!("expected RetriesExhausted, got {other}"),
         }
+    }
+
+    #[test]
+    fn retry_counters_saturate_at_the_largest_budget() {
+        // Every frame is lost and the backoff saturates by the 58th
+        // doubling: the attempt count and the backoff sum must stop at
+        // their ceilings instead of wrapping.
+        let build = small_build();
+        let host_build = ulp_kernels::matmul::build_sized(
+            ulp_kernels::matmul::MatVariant::Char,
+            &TargetEnv::host_m4(),
+            16,
+        );
+        let fault = FaultConfig {
+            seed: 9,
+            drop_rate: 1.0,
+            ..FaultConfig::default()
+        };
+        let mut opts = OffloadOptions {
+            iterations: 1,
+            policy: OffloadPolicy {
+                max_retries: OffloadPolicy::MAX_RETRIES,
+                fallback_to_host: false,
+                ..OffloadPolicy::default()
+            },
+            ..Default::default()
+        };
+        let err = HetSystem::new(faulty_config(fault))
+            .offload(&build, &opts)
+            .unwrap_err();
+        match err {
+            OffloadError::RetriesExhausted { attempts } => assert_eq!(attempts, 65),
+            other => panic!("expected RetriesExhausted, got {other}"),
+        }
+        opts.policy.fallback_to_host = true;
+        let rep = HetSystem::new(faulty_config(fault))
+            .offload_with_fallback(&build, &host_build, &opts)
+            .unwrap();
+        assert!(rep.resilience.fell_back_to_host);
+        assert_eq!(rep.resilience.backoff_cycles, u64::MAX);
     }
 
     #[test]

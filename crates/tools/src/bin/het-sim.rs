@@ -137,22 +137,37 @@ fn run() -> Result<(), String> {
             mcu_hz: clock("boost-mhz", ulp_platform::clock_hz("boosted clock", mhz))?,
         };
     }
+    // Every fault rate is a probability; serving reads `cfg.fault` too.
+    let rate = |flag: &str| {
+        let p = args.get_f64(flag, 0.0)?;
+        if (0.0..=1.0).contains(&p) {
+            Ok(p)
+        } else {
+            Err(format!("--{flag}: {p} is not a probability within 0–1"))
+        }
+    };
     cfg.fault = FaultConfig {
         seed: args.get_usize("fault-seed", 1)? as u64,
-        bit_error_rate: args.get_f64("ber", 0.0)?,
-        drop_rate: args.get_f64("drop-rate", 0.0)?,
-        truncate_rate: args.get_f64("truncate-rate", 0.0)?,
-        hang_rate: args.get_f64("hang-rate", 0.0)?,
-        late_eoc_rate: args.get_f64("late-eoc-rate", 0.0)?,
+        bit_error_rate: rate("ber")?,
+        drop_rate: rate("drop-rate")?,
+        truncate_rate: rate("truncate-rate")?,
+        hang_rate: rate("hang-rate")?,
+        late_eoc_rate: rate("late-eoc-rate")?,
         late_eoc_cycles: args.get_usize("late-eoc-cycles", 10_000)? as u64,
         stuck_fetch_enable: args.has("stuck-fetch-enable"),
         stuck_eoc: args.has("stuck-eoc"),
     };
     // One recovery policy for every mode; `--backoff-cycles` and
     // `--watchdog-cycles` count host cycles.
+    let max_retries = args.get_usize("max-retries", 3)?;
+    if max_retries > OffloadPolicy::MAX_RETRIES as usize {
+        return Err(format!(
+            "--max-retries: {max_retries} exceeds the largest useful budget, {}",
+            OffloadPolicy::MAX_RETRIES
+        ));
+    }
     let policy = OffloadPolicy {
-        max_retries: u32::try_from(args.get_usize("max-retries", 3)?)
-            .map_err(|_| "--max-retries out of range".to_owned())?,
+        max_retries: max_retries as u32,
         backoff_cycles: args.get_usize("backoff-cycles", 64)? as u64,
         watchdog_cycles: args.get_usize("watchdog-cycles", 0)? as u64,
         fallback_to_host: !args.has("no-fallback"),

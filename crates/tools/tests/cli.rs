@@ -257,23 +257,46 @@ fn bad_inputs_fail_cleanly() {
         );
     }
 
-    // Clock flags the platform parser would reject for their keys: a typed
-    // error naming the flag (exit 1), not a panic (101) or an `inf` / `NaN`
-    // report (0).
-    for (flag, value) in [
-        ("--mcu-mhz", "0"),
-        ("--mcu-mhz", "100"),
-        ("--link-clock", "0"),
-        ("--boost-mhz", "0"),
-        ("--link-clock", "nan"),
+    // Clock flags the platform parser would reject for their keys, fault
+    // rates that are no probability, and retry budgets past
+    // `OffloadPolicy::MAX_RETRIES`: a typed error naming the first flag
+    // (exit 1), not a panic (101), an `inf` / `NaN` report, a fault-free
+    // or clamped run (0), or a spin through 2^32 retries.
+    for probe in [
+        &["--mcu-mhz", "0"][..],
+        &["--mcu-mhz", "100"],
+        &["--link-clock", "0"],
+        &["--boost-mhz", "0"],
+        &["--link-clock", "nan"],
+        &["--ber", "-1"],
+        &["--drop-rate", "nan"],
+        &["--late-eoc-rate", "-0.5"],
+        &["--ber", "2"],
+        &["--hang-rate", "1.5"],
+        &["--truncate-rate", "inf"],
+        &["--max-retries", "65"],
+        &[
+            "--max-retries",
+            "4294967295",
+            "--stuck-eoc",
+            "--no-fallback",
+        ],
+        &[
+            "--max-retries",
+            "4294967295",
+            "--drop-rate",
+            "1",
+            "--no-fallback",
+        ],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_het-sim"))
-            .args(["--benchmark", "matmul", "--iterations", "2", flag, value])
+            .args(["--benchmark", "matmul", "--iterations", "2"])
+            .args(probe)
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
-        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{probe:?}: {stderr}");
+        assert!(stderr.contains(probe[0]), "{probe:?}: {stderr}");
     }
 
     // A replayed trace naming the largest tenant id: the error names the
