@@ -90,7 +90,7 @@ impl ICache {
     /// a filter hit implies a tag match) and returns `true`; on a miss it
     /// mutates *nothing* — no fill, no tag write, no miss count — and
     /// returns `false`. Misses abort the epoch, whose rollback restores the
-    /// hit counter via [`ICache::stats_snapshot`], so a probed-then-rolled-
+    /// hit counter via `ICache::stats_snapshot`, so a probed-then-rolled-
     /// back sequence leaves the cache bit-identical.
     #[inline]
     pub fn probe_hit(&mut self, pc: u32) -> bool {

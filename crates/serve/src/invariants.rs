@@ -11,7 +11,7 @@
 //!   repeated id would mean a queue-generation leak: one request served
 //!   twice).
 //! * **Ledger exactness** — the per-tenant × deadline-class
-//!   [`SloLedger`](crate::SloLedger) is recomputed from scratch from the
+//!   [`SloLedger`] is recomputed from scratch from the
 //!   raw outcomes and diffed bit-for-bit against the incrementally
 //!   maintained one.
 //! * **Accounting consistency** — batch histogram mass equals dispatched
