@@ -845,9 +845,12 @@ impl HetSystem {
         let (spi_drive_hz, _) = self.link_clocks();
 
         // Each mapped buffer travels in one frame.
-        let binary_seconds = if include_binary {
+        let frame_seconds = |len: &usize| {
             self.link
-                .transfer_seconds(cost.offload_bytes + FRAME_OVERHEAD, spi_drive_hz)
+                .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
+        };
+        let binary_seconds = if include_binary {
+            frame_seconds(&cost.offload_bytes)
         } else {
             0.0
         };
@@ -856,22 +859,9 @@ impl HetSystem {
             // memory over the dedicated interface; the link is untouched.
             cost.input_frames.iter().sum::<usize>() as f64 / self.config.sensor_bandwidth
         } else {
-            cost.input_frames
-                .iter()
-                .map(|len| {
-                    self.link
-                        .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
-                })
-                .sum()
+            cost.input_frames.iter().map(frame_seconds).sum()
         };
-        let t_out: f64 = cost
-            .output_frames
-            .iter()
-            .map(|len| {
-                self.link
-                    .transfer_seconds(len + FRAME_OVERHEAD, spi_drive_hz)
-            })
-            .sum();
+        let t_out: f64 = cost.output_frames.iter().map(frame_seconds).sum();
 
         let t_compute_cold = cost.cycles_cold as f64 / f_pulp;
         let t_compute_warm = cost.cycles_warm as f64 / f_pulp;
