@@ -211,10 +211,11 @@ impl FaultInjector {
     }
 
     /// Number of bits flipped in an `n`-bit frame, via geometric gap
-    /// sampling (O(flips), not O(bits)).
+    /// sampling (O(flips), not O(bits)). A NaN rate flips nothing, as a
+    /// NaN rate of any other fault fires nothing.
     fn count_bit_flips(&mut self, n_bits: usize) -> u64 {
         let p = self.cfg.bit_error_rate;
-        if p <= 0.0 || n_bits == 0 {
+        if p.is_nan() || p <= 0.0 || n_bits == 0 {
             return 0;
         }
         if p >= 1.0 {
@@ -293,6 +294,22 @@ mod tests {
         let expect = frames as f64 * bytes as f64 * 8.0 * 1e-3;
         let got = inj.stats().bits_flipped as f64;
         assert!((got - expect).abs() / expect < 0.15, "{got} vs {expect}");
+    }
+
+    #[test]
+    fn nan_bit_error_rate_flips_nothing() {
+        // Another rate keeps the injector active, so every frame reaches
+        // the bit-flip draw.
+        let mut inj = FaultInjector::new(FaultConfig {
+            bit_error_rate: f64::NAN,
+            drop_rate: 0.01,
+            ..cfg(1)
+        });
+        assert!(inj.is_active());
+        for _ in 0..100 {
+            assert!(!matches!(inj.assess(64), TxOutcome::Corrupted { .. }));
+        }
+        assert_eq!(inj.stats().bits_flipped, 0);
     }
 
     #[test]
