@@ -6,11 +6,15 @@
 //! of a tenant's traffic lands on one group, so per-tenant fairness and
 //! SLO accounting stay local), and each group runs its own
 //! [`AutoscalePolicy`](crate::AutoscalePolicy) against its own queues.
-//! Groups share nothing at runtime, which is what lets
+//! Groups share no scheduling state at runtime, which is what lets
 //! [`Fleet::run`] simulate them in parallel with `ulp_par::par_map`
 //! while staying byte-identical under any `--jobs` setting: the
 //! partition is computed up front, each group's simulation is a pure
 //! function of its own request slice, and `par_map` preserves order.
+//! The one thing a run's groups share is their memo of dispatch prices:
+//! every group prices against the same book and configuration, a price
+//! is a pure function of its dispatch shape, and so it does not matter
+//! which group prices a shape first.
 //!
 //! Request ids stay **global** through the partition. That is what makes
 //! fleet-wide conservation checkable: if the sharding layer ever routed
@@ -24,7 +28,7 @@ use ulp_par::par_map;
 use crate::autoscale::ScaleEvent;
 use crate::error::ServeError;
 use crate::metrics::{LatencyStats, OutcomeKind, ServeReport};
-use crate::pricing::CostBook;
+use crate::pricing::{CostBook, PriceMemo};
 use crate::request::{ServeRequest, TenantSpec};
 use crate::server::{check_stream, ServeConfig, ServePool};
 
@@ -185,10 +189,10 @@ impl FleetReport {
 ///
 /// The fleet holds *configuration*, not live pools: each [`Fleet::run`]
 /// builds every group's pool inside the parallel map, so group
-/// simulations share nothing and a run is a pure function of the
-/// request stream. (A pool's optional tracer is single-threaded by
-/// design, which is the other reason pools cannot outlive one group's
-/// simulation here.)
+/// simulations share only the run's price memo and a run is a pure
+/// function of the request stream. (A pool's optional tracer is
+/// single-threaded by design, which is the other reason pools cannot
+/// outlive one group's simulation here.)
 pub struct Fleet {
     sys_config: HetSystemConfig,
     tenants: Vec<TenantSpec>,
@@ -246,7 +250,7 @@ impl Fleet {
     /// happened. The stream is partitioned by each request's tenant
     /// placement — order and ids preserved, tenant indices remapped
     /// group-locally — and the groups simulate independently in
-    /// parallel.
+    /// parallel, sharing one memo of dispatch prices.
     ///
     /// # Errors
     ///
@@ -283,14 +287,15 @@ impl Fleet {
         }
 
         let groups: Vec<usize> = (0..self.cfg.groups).collect();
+        let memo = PriceMemo::default();
         let reports = par_map(&groups, |_, &g| -> Result<ServeReport, ServeError> {
             let specs: Vec<TenantSpec> = self.group_tenants[g]
                 .iter()
                 .map(|&t| self.tenants[t].clone())
                 .collect();
-            let mut pool =
-                ServePool::new(&self.sys_config, specs, self.book.clone(), self.cfg.serve);
-            pool.run(&slices[g])
+            ServePool::new(&self.sys_config, specs, self.book.clone(), self.cfg.serve)
+                .with_price_memo(memo.clone())
+                .run(&slices[g])
         });
 
         let mut group_reports = Vec::with_capacity(self.cfg.groups);

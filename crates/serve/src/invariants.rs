@@ -202,19 +202,25 @@ pub fn check_groups(offered: &[u64], reports: &[&ServeReport]) -> Vec<String> {
     }
 
     // Cross-group id uniqueness: per-group checks cannot see a request
-    // that two shards both claim to have served.
-    let mut ids: Vec<(u64, usize)> = reports
+    // that two shards both claim to have served. Only a repeated id
+    // looks its groups up, in group order, one message per repeat.
+    let mut ids: Vec<u64> = reports
         .iter()
-        .enumerate()
-        .flat_map(|(g, r)| r.outcomes.iter().map(move |o| (o.id, g)))
+        .flat_map(|r| r.outcomes.iter().map(|o| o.id))
         .collect();
     ids.sort_unstable();
-    for w in ids.windows(2) {
-        if w[0].0 == w[1].0 {
+    for run in ids.chunk_by(|a, b| a == b).filter(|run| run.len() > 1) {
+        let id = run[0];
+        let groups: Vec<usize> = reports
+            .iter()
+            .enumerate()
+            .flat_map(|(g, r)| r.outcomes.iter().filter(|o| o.id == id).map(move |_| g))
+            .collect();
+        for w in groups.windows(2) {
             v.push(format!(
-                "fleet: request id {} left the system in group {} and again in group {} \
+                "fleet: request id {id} left the system in group {} and again in group {} \
                  (cross-group double count)",
-                w[0].0, w[0].1, w[1].1
+                w[0], w[1]
             ));
         }
     }

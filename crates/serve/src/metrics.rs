@@ -23,8 +23,14 @@ pub fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len(), p)]
+}
+
+/// Index of the nearest-rank `p`th percentile in a sorted set of
+/// `len ≥ 1` samples.
+fn nearest_rank(len: usize, p: f64) -> usize {
+    let rank = ((p / 100.0) * len as f64).ceil() as usize;
+    rank.clamp(1, len) - 1
 }
 
 /// Latency summary of one population of completed requests.
@@ -43,21 +49,32 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarizes a latency sample set (need not be sorted).
+    /// Summarizes a latency sample set (need not be sorted). Each
+    /// percentile is selected at its nearest rank, not sorted for: a
+    /// selection leaves every sample from its rank on above it, so the
+    /// next, higher rank is searched for in that tail alone.
     #[must_use]
     pub fn of(samples: &[u64]) -> Self {
         if samples.is_empty() {
             return LatencyStats::default();
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let sum: u128 = sorted.iter().map(|&x| u128::from(x)).sum();
+        let sum: u128 = samples.iter().map(|&x| u128::from(x)).sum();
+        let mut v = samples.to_vec();
+        let mut searched = 0; // v[..searched] is placed: no sample after it is smaller
+        let [p50_ns, p95_ns, p99_ns] = [50.0, 95.0, 99.0].map(|p| {
+            let k = nearest_rank(v.len(), p);
+            if k >= searched {
+                v[searched..].select_nth_unstable(k - searched);
+                searched = k + 1;
+            }
+            v[k]
+        });
         LatencyStats {
-            count: sorted.len() as u64,
-            p50_ns: percentile_ns(&sorted, 50.0),
-            p95_ns: percentile_ns(&sorted, 95.0),
-            p99_ns: percentile_ns(&sorted, 99.0),
-            mean_ns: (sum / sorted.len() as u128) as u64,
+            count: v.len() as u64,
+            p50_ns,
+            p95_ns,
+            p99_ns,
+            mean_ns: (sum / v.len() as u128) as u64,
         }
     }
 }
@@ -376,6 +393,38 @@ mod tests {
         assert_eq!(st.p50_ns, 20);
         assert_eq!(st.p99_ns, 30);
         assert_eq!(st.mean_ns, 20);
+    }
+
+    #[test]
+    fn selected_percentiles_match_a_full_sort() {
+        let sorted_stats = |samples: &[u64]| {
+            let mut sorted = samples.to_vec();
+            sorted.sort_unstable();
+            [50.0, 95.0, 99.0].map(|p| percentile_ns(&sorted, p))
+        };
+        let check = |samples: &[u64]| {
+            let st = LatencyStats::of(samples);
+            assert_eq!(
+                [st.p50_ns, st.p95_ns, st.p99_ns],
+                sorted_stats(samples),
+                "{} samples",
+                samples.len()
+            );
+        };
+        // Seeded random sets from narrow value ranges, so ties are common.
+        let mut rng = ulp_rng::XorShiftRng::seed_from_u64(0x5E1EC7);
+        let mut random = |n: usize| -> Vec<u64> {
+            let span = rng.gen_range(1..=50u64);
+            (0..n).map(|_| rng.gen_range(0..span)).collect()
+        };
+        // Every count 1–300, descending and random, then larger sets.
+        for n in 1..=300 {
+            check(&(1..=n as u64).rev().collect::<Vec<_>>());
+            check(&random(n));
+        }
+        for n in [1_000, 4_099, 10_007] {
+            check(&random(n));
+        }
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Dispatch pricing: the measured [`CostBook`] of the kernels a pool
-//! serves, and the pool's memo of healthy dispatch prices.
+//! serves, and the memo of healthy dispatch prices.
 //!
 //! A pool brings its kernels up once — two cluster simulations each, in
 //! [`CostBook::measure`] — and never touches the cluster again: every
 //! dispatch shape is priced with [`HetSystem::price_job`] against those
-//! cached costs, and each distinct shape is priced once per pool.
+//! cached costs, and each distinct shape is priced once per memo. A lone
+//! pool owns its memo; the groups of one [`Fleet::run`](crate::Fleet::run)
+//! share one, since they price against the same book and configuration.
 //! `price_job` returns exactly what the queue planner
 //! [`HetSystem::plan_queue`] reports for a one-job queue, but runs one
 //! timing-only pipeline schedule instead of two accounted ones.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ulp_kernels::{Benchmark, TargetEnv};
 use ulp_offload::{
@@ -172,6 +175,16 @@ pub(crate) struct Price {
     pub(crate) energy_j: f64,
 }
 
+/// A dispatch shape: (operating point, kernel, batch iterations,
+/// ships-binary).
+type Shape = (usize, usize, usize, bool);
+
+/// Memoized dispatch prices by shape. A price is a pure function of the
+/// book, the planner configuration and the shape, so pricers built from
+/// the same book and configuration may share one memo, whichever of them
+/// fills an entry first.
+pub(crate) type PriceMemo = Arc<Mutex<BTreeMap<Shape, Price>>>;
+
 /// A pool's dispatch pricer: the shared pure planners all batch pricing
 /// goes through, and the memo of the shapes already priced.
 pub(crate) struct Pricer {
@@ -182,9 +195,9 @@ pub(crate) struct Pricer {
     planners: Vec<HetSystem>,
     pipeline: PipelineConfig,
     mcu_hz: f64,
-    /// Memoized dispatch prices keyed by (operating point, kernel, batch
-    /// iterations, ships-binary).
-    price_cache: BTreeMap<(usize, usize, usize, bool), Price>,
+    /// The shapes already priced: the pool's own, or the one its fleet
+    /// run shares among groups.
+    pub(crate) memo: PriceMemo,
 }
 
 impl Pricer {
@@ -206,7 +219,7 @@ impl Pricer {
             planners,
             pipeline: cfg.pipeline,
             mcu_hz: sys_config.mcu_freq_hz,
-            price_cache: BTreeMap::new(),
+            memo: PriceMemo::default(),
         }
     }
 
@@ -224,14 +237,15 @@ impl Pricer {
     /// the steady-state rate. A serial dispatch (batch of one)
     /// degenerates to the ordinary single offload.
     pub(crate) fn price(
-        &mut self,
+        &self,
         book: &CostBook,
         op: usize,
         bidx: usize,
         iterations: usize,
         ship: bool,
     ) -> Price {
-        if let Some(&p) = self.price_cache.get(&(op, bidx, iterations, ship)) {
+        let key = (op, bidx, iterations, ship);
+        if let Some(&p) = self.memo().get(&key) {
             return p;
         }
         let job = PlannedJob {
@@ -251,7 +265,13 @@ impl Pricer {
             compute_ns: (plan.compute_seconds * 1e9).round() as u64,
             energy_j: plan.energy_joules + overhead_s * overhead_w,
         };
-        self.price_cache.insert((op, bidx, iterations, ship), price);
+        self.memo().insert(key, price);
         price
+    }
+
+    /// The locked memo. Its only write is an insert of a finished price,
+    /// so a lock poisoned by a panic elsewhere still guards a sound map.
+    fn memo(&self) -> MutexGuard<'_, BTreeMap<Shape, Price>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

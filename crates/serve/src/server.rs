@@ -52,7 +52,7 @@ use crate::metrics::{
     LatencyStats, OutcomeKind, RequestOutcome, ServeReport, SloLedger, TenantReport,
 };
 use crate::power::{Governor, PowerPolicy};
-use crate::pricing::{CostBook, Pricer};
+use crate::pricing::{CostBook, PriceMemo, Pricer};
 use crate::request::{ServeRequest, TenantSpec};
 
 /// How the pool forms batches.
@@ -261,7 +261,7 @@ pub struct ServePool {
     book: CostBook,
     tenants: Vec<TenantSpec>,
     workers: Vec<Worker>,
-    /// Prices every dispatch shape, once per shape.
+    /// Prices every dispatch shape, once per shape and memo.
     pricer: Pricer,
     tracer: Tracer,
     chaos: ChaosConfig,
@@ -319,6 +319,15 @@ impl ServePool {
     #[must_use]
     pub fn with_timeline(mut self, timeline: Timeline) -> Self {
         self.timeline = timeline;
+        self
+    }
+
+    /// Prices dispatches through `memo` instead of the pool's own. Every
+    /// pool sharing it must be built from the same system configuration,
+    /// book and [`ServeConfig`], so that a shape's price does not depend
+    /// on which pool made it.
+    pub(crate) fn with_price_memo(mut self, memo: PriceMemo) -> Self {
+        self.pricer.memo = memo;
         self
     }
 
@@ -405,37 +414,48 @@ impl ServePool {
                 }
             }
 
-            scaler.decide(now, queued, &self.tracer);
-            governor.decide(now);
-
-            // Admit everything that has arrived by `now`.
-            while next_arrival < requests.len() && requests[next_arrival].arrival_ns <= now {
-                let r = requests[next_arrival];
-                next_arrival += 1;
-                let class = r.class.rank() as usize;
-                let priced = self.cfg.admission_pricing && {
-                    let target =
-                        (scaler.active() as u64 * ServeConfig::PRICING_DEPTH_PER_WORKER).max(1);
-                    queued as u64 * 100 / target >= ServeConfig::PRICING_CEILING_PCT[class]
-                };
-                let t = &mut tenants[r.tenant];
-                if priced || t.queued >= self.tenants[r.tenant].queue_cap {
-                    priced_out += u64::from(priced);
-                    t.rejected += 1;
-                    let o = outcome(&r, r.arrival_ns, OutcomeKind::Rejected);
-                    ledger.post(&o);
-                    outcomes.push(o);
-                    continue;
+            // Admit everything that has arrived by `now`. Arrivals that
+            // found every active worker busy woke nobody, so those before
+            // `now` are admitted first, against the state they arrived
+            // to: no dispatch and no policy decision fell between them.
+            // The policies then decide on that depth, and the arrivals
+            // at `now` itself come after the decision, as they would had
+            // each arrival been its own event.
+            for at_now in [false, true] {
+                if at_now {
+                    scaler.decide(now, queued, &self.tracer);
+                    governor.decide(now);
                 }
-                admitted += 1;
-                if t.queued == 0 {
-                    // A tenant returning from idle starts at the current
-                    // fairness floor instead of spending banked credit.
-                    t.vtime = t.vtime.max(vnow);
+                while let Some(&r) = requests
+                    .get(next_arrival)
+                    .filter(|r| r.arrival_ns < now || at_now && r.arrival_ns == now)
+                {
+                    next_arrival += 1;
+                    let class = r.class.rank() as usize;
+                    let priced = self.cfg.admission_pricing && {
+                        let target =
+                            (scaler.active() as u64 * ServeConfig::PRICING_DEPTH_PER_WORKER).max(1);
+                        queued as u64 * 100 / target >= ServeConfig::PRICING_CEILING_PCT[class]
+                    };
+                    let t = &mut tenants[r.tenant];
+                    if priced || t.queued >= self.tenants[r.tenant].queue_cap {
+                        priced_out += u64::from(priced);
+                        t.rejected += 1;
+                        let o = outcome(&r, r.arrival_ns, OutcomeKind::Rejected);
+                        ledger.post(&o);
+                        outcomes.push(o);
+                        continue;
+                    }
+                    admitted += 1;
+                    if t.queued == 0 {
+                        // A tenant returning from idle starts at the current
+                        // fairness floor instead of spending banked credit.
+                        t.vtime = t.vtime.max(vnow);
+                    }
+                    t.queues[class].push_back(r);
+                    t.queued += 1;
+                    queued += 1;
                 }
-                t.queues[class].push_back(r);
-                t.queued += 1;
-                queued += 1;
             }
             max_depth = max_depth.max(queued);
 
@@ -574,14 +594,24 @@ impl ServePool {
                 }
             }
 
-            // Advance the virtual clock to the next event. A scheduler
-            // stalled by blackouts with work still queued must wake when
-            // the earliest blackout lifts, or requests would strand. A
-            // pending policy decision wakes the scheduler early, but never
-            // keeps a drained run alive: with no other event left the run
-            // ends and so does every policy.
+            // Advance the virtual clock to the next event. An arrival is
+            // one only while an active worker is idle: with all of them
+            // busy it can only queue, and the next completion or policy
+            // decision admits it. (An idle worker that is blacked out
+            // keeps arrivals events, so each one still counts a blackout
+            // window.) A scheduler stalled by blackouts with work still
+            // queued must wake when the earliest blackout lifts, or
+            // requests would strand. A pending policy decision wakes the
+            // scheduler early, but never keeps a drained run alive: with
+            // no other event left the run ends and so does every policy.
+            let all_busy = self.workers[..scaler.active()]
+                .iter()
+                .all(|w| w.free_at_ns > now);
             let next_event = [
-                (next_arrival < requests.len()).then(|| requests[next_arrival].arrival_ns),
+                requests
+                    .get(next_arrival)
+                    .filter(|_| !all_busy)
+                    .map(|r| r.arrival_ns),
                 self.workers
                     .iter()
                     .filter(|w| w.free_at_ns > now)
@@ -698,6 +728,7 @@ mod tests {
     use super::*;
     use crate::chaos::{Blackout, FaultProfile};
     use crate::loadgen::{TenantLoad, WorkloadSpec};
+    use crate::request::DeadlineClass;
     use ulp_kernels::TargetEnv;
 
     fn kernels() -> Vec<Benchmark> {
@@ -1114,6 +1145,49 @@ mod tests {
             batch > interactive,
             "batch ({batch}) must shed before interactive ({interactive})"
         );
+    }
+
+    #[test]
+    fn arrivals_at_a_decision_instant_follow_the_decision() {
+        // One worker, busy from 0 across the first decision instant. The
+        // arrivals queued just before the instant are the depth the
+        // autoscaler decides on; the arrival exactly at it is priced
+        // against the worker count the decision leaves.
+        let at = AutoscalePolicy::INTERVAL_NS;
+        let req = |id: u64, class, arrival_ns, iterations| ServeRequest {
+            id,
+            tenant: 0,
+            benchmark: Benchmark::MatMul,
+            iterations,
+            class,
+            arrival_ns,
+        };
+        let early = 16;
+        let mut reqs = vec![req(0, DeadlineClass::Interactive, 0, 64)];
+        reqs.extend((1..=early).map(|id| req(id, DeadlineClass::Interactive, at - 1, 1)));
+        reqs.push(req(early + 1, DeadlineClass::Batch, at, 1));
+        let r = ServePool::new(
+            &HetSystemConfig::default(),
+            vec![TenantSpec::new("t")],
+            book(),
+            ServeConfig {
+                pool: 1,
+                autoscale: Some(AutoscalePolicy::new(1, 2)),
+                admission_pricing: true,
+                ..ServeConfig::default()
+            },
+        )
+        .run(&reqs)
+        .unwrap();
+        let done = |id| r.outcomes.iter().find(|o| o.id == id).unwrap();
+        assert!(done(0).done_ns > at, "the worker must be busy at {at}");
+        let first = r.scale_events[0];
+        assert_eq!((first.at_ns, first.from, first.to), (at, 1, 2));
+        assert_eq!(first.queue_depth, early as usize);
+        // 16 queued requests are 50% pressure on one worker, the batch
+        // class's ceiling, but 25% on two.
+        assert_eq!(done(early + 1).kind, OutcomeKind::Completed);
+        assert_eq!(r.priced_out, 0);
     }
 
     fn power_pool(power: Option<PowerPolicy>) -> ServePool {
