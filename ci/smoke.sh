@@ -210,6 +210,30 @@ golden fleet_table tests/golden/fleet_table.txt "$SCRATCH/fleet_table.txt"
 golden fleet_autoscale tests/golden/fleet_autoscale.txt "$SCRATCH/fleet_autoscale.txt"
 golden BENCH_fleet BENCH_fleet.json "$SCRATCH/BENCH_fleet.json"
 
+echo "== perfbench digests =="
+# One pass of each benchmark workload at seed 1, through the command
+# BENCHMARK.json declares. Every operation must succeed, and the hash of
+# the pass's simulated results must match its pin: a host-speed change
+# must not change what is simulated. The benchmark package's stale
+# Cargo.lock is rewritten by every build, so it is put back afterwards.
+cp perfbench/Cargo.lock "$SCRATCH/perfbench.lock"
+for pin in offload:d8a74d1cad369181 serve:9e713c9d360bc731 fleet:4e7b05b7691265cf; do
+  workload=${pin%%:*} want=${pin#*:}
+  cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 0 --trace 0 > "$ARTIFACTS/perfbench-$workload.out"
+  got=$(sed -n 's/^sim_digest=//p' "$ARTIFACTS/perfbench-$workload.out")
+  if ! tail -n 1 "$ARTIFACTS/perfbench-$workload.out" | grep -q '"failed": 0,'; then
+    echo "perfbench $workload: failed operations (see $ARTIFACTS/perfbench-$workload.out)" >&2
+    fail=1
+  elif [ "$got" != "$want" ]; then
+    echo "perfbench $workload: sim_digest $got, pinned $want" >&2
+    fail=1
+  else
+    echo "digest ok : perfbench $workload $got, 0 failed"
+  fi
+done
+cp "$SCRATCH/perfbench.lock" perfbench/Cargo.lock
+
 echo "== simulator perf smoke =="
 # Tracks the simulator's own wall-clock cost. The shared runner is noisy,
 # so this validates the tooling (report shape, --jobs path) and gates only
@@ -312,7 +336,7 @@ sys.exit(1 if fail else 0)
 PYEOF
 
 if [ "$fail" -ne 0 ]; then
-  echo "smoke: golden snapshot(s) diverged — see $ARTIFACTS/" >&2
+  echo "smoke: golden snapshot(s) or perfbench digest(s) diverged — see $ARTIFACTS/" >&2
   exit 1
 fi
 echo "smoke: all checks passed"
